@@ -750,9 +750,24 @@ pub fn closest_among_scalar(
     ent: &Cf,
     block: &CfBlock,
 ) -> Option<(usize, f64)> {
+    closest_among_where_scalar(metric, ent, block, |_, _| true)
+}
+
+/// The scalar first-minimum scan with a per-row veto: `keep(i, best_d)`
+/// is asked before row `i` is evaluated, with the best distance so far.
+#[inline]
+fn closest_among_where_scalar(
+    metric: DistanceMetric,
+    ent: &Cf,
+    block: &CfBlock,
+    mut keep: impl FnMut(usize, f64) -> bool,
+) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     let mut best_d = f64::INFINITY;
     for i in 0..block.len() {
+        if !keep(i, best_d) {
+            continue;
+        }
         let d = distance_to_row(metric, ent, block, i);
         if d < best_d {
             best_d = d;
@@ -760,6 +775,27 @@ pub fn closest_among_scalar(
         }
     }
     best
+}
+
+/// The production first-minimum scan with a per-row veto — the one scan
+/// behind both [`closest_among`] and [`closest_among_pruned`], so
+/// prune-on and prune-off descents see identical distances. Routes
+/// through the per-(dim, metric) lane scans on stable+`simd` builds.
+#[inline]
+fn closest_among_where(
+    metric: DistanceMetric,
+    ent: &Cf,
+    block: &CfBlock,
+    keep: impl FnMut(usize, f64) -> bool,
+) -> Option<(usize, f64)> {
+    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
+    {
+        crate::simd::closest_among_where(metric, ent, block, keep)
+    }
+    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
+    {
+        closest_among_where_scalar(metric, ent, block, keep)
+    }
 }
 
 /// First-minimum closest row to `ent`: the batched form of the descent
@@ -770,29 +806,7 @@ pub fn closest_among_scalar(
 #[must_use]
 #[inline]
 pub fn closest_among(metric: DistanceMetric, ent: &Cf, block: &CfBlock) -> Option<(usize, f64)> {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::closest_among(metric, ent, block)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        closest_among_scalar(metric, ent, block)
-    }
-}
-
-/// Per-row distance by whichever kernel family the production scans use
-/// — the evaluation the pruned scan must share with [`closest_among`] so
-/// prune-on and prune-off descents see identical distances.
-#[inline]
-fn row_distance_production(metric: DistanceMetric, ent: &Cf, block: &CfBlock, i: usize) -> f64 {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::distance_to_row(metric, ent, block, i)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        distance_to_row(metric, ent, block, i)
-    }
+    closest_among_where(metric, ent, block, |_, _| true)
 }
 
 /// Conservative slack of the stable-backend D0 prune bound, relative to
@@ -849,11 +863,9 @@ pub fn closest_among_pruned(
     #[cfg(not(feature = "classic-cf"))]
     let centroid_norm = |sq: f64, _n: f64| sq.sqrt();
     let ent_norm = centroid_norm(ent.vec_stat_sq(), ent.n());
-    let mut best: Option<(usize, f64)> = None;
-    let mut best_d = f64::INFINITY;
     let mut evaluated = 0u64;
     let mut pruned = 0u64;
-    for i in 0..block.len() {
+    let best = closest_among_where(metric, ent, block, |i, best_d| {
         let row_norm = centroid_norm(block.row_vec_sq(i), block.row_n(i));
         #[cfg(feature = "classic-cf")]
         let bound = (ent_norm - row_norm).abs();
@@ -861,15 +873,12 @@ pub fn closest_among_pruned(
         let bound = (ent_norm - row_norm).abs() - D0_PRUNE_SLACK_REL * (ent_norm + row_norm);
         if bound > best_d {
             pruned += 1;
-            continue;
+            false
+        } else {
+            evaluated += 1;
+            true
         }
-        evaluated += 1;
-        let d = row_distance_production(metric, ent, block, i);
-        if d < best_d {
-            best_d = d;
-            best = Some((i, d));
-        }
-    }
+    });
     (best, evaluated, pruned)
 }
 

@@ -75,7 +75,7 @@ pub use obs::{
     Event, EventSink, MetricsRecorder, MetricsReport, NoopSink, ShardReport, TraceLog, TraceStats,
 };
 pub use parallel::ParallelPhase1Output;
-pub use point::Point;
+pub use point::{Point, PointError};
 pub use stream::StreamingBirch;
 pub use tree::TreeHealth;
 pub use tree::{CfTree, InsertOutcome, TreeParams};

@@ -22,17 +22,36 @@ impl Point {
     ///
     /// Panics if `coords` is empty or contains a non-finite value — BIRCH's
     /// distance algebra is meaningless for NaN/∞ inputs, and catching them at
-    /// the boundary keeps every downstream invariant simple.
+    /// the boundary keeps every downstream invariant simple. Use
+    /// [`Point::try_new`] where the coordinates come from untrusted input.
     #[must_use]
     pub fn new(coords: Vec<f64>) -> Self {
-        assert!(!coords.is_empty(), "a point must have at least 1 dimension");
-        assert!(
-            coords.iter().all(|c| c.is_finite()),
-            "point coordinates must be finite, got {coords:?}"
-        );
-        Self {
-            coords: coords.into_boxed_slice(),
+        match Self::try_new(coords) {
+            Ok(p) => p,
+            Err(e) => panic!("{e}"),
         }
+    }
+
+    /// Creates a point from its coordinates, or says why they cannot be
+    /// one: no coordinates at all, or a NaN/±∞ coordinate.
+    ///
+    /// # Errors
+    ///
+    /// [`PointError::Empty`] for an empty `coords`, and
+    /// [`PointError::NonFinite`] naming the first non-finite coordinate.
+    pub fn try_new(coords: Vec<f64>) -> Result<Self, PointError> {
+        if coords.is_empty() {
+            return Err(PointError::Empty);
+        }
+        if let Some(index) = coords.iter().position(|c| !c.is_finite()) {
+            return Err(PointError::NonFinite {
+                index,
+                value: coords[index],
+            });
+        }
+        Ok(Self {
+            coords: coords.into_boxed_slice(),
+        })
     }
 
     /// Convenience constructor for 2-d points (the paper's workloads).
@@ -69,6 +88,34 @@ impl Point {
         self.sq_dist(other).sqrt()
     }
 }
+
+/// Why a coordinate vector cannot be a [`Point`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PointError {
+    /// No coordinates: a point needs at least one dimension.
+    Empty,
+    /// Coordinate `index` (0-based) is NaN or ±∞.
+    NonFinite {
+        /// Position of the first non-finite coordinate.
+        index: usize,
+        /// Its value.
+        value: f64,
+    },
+}
+
+impl fmt::Display for PointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PointError::Empty => f.write_str("a point must have at least 1 dimension"),
+            PointError::NonFinite { index, value } => write!(
+                f,
+                "point coordinates must be finite, got {value} at coordinate {index}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PointError {}
 
 /// Squared Euclidean distance between two coordinate slices.
 ///
@@ -207,6 +254,28 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn nan_rejected() {
         let _ = Point::new(vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn try_new_names_the_bad_coordinate() {
+        assert_eq!(Point::try_new(vec![]), Err(PointError::Empty));
+        for bad in [f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                Point::try_new(vec![1.0, 2.0, bad, f64::NAN]),
+                Err(PointError::NonFinite {
+                    index: 2,
+                    value: bad
+                })
+            );
+        }
+        match Point::try_new(vec![f64::NAN]) {
+            Err(PointError::NonFinite { index: 0, value }) => assert!(value.is_nan()),
+            other => panic!("NaN accepted: {other:?}"),
+        }
+        assert_eq!(
+            Point::try_new(vec![1.0, -2.0]).unwrap(),
+            Point::xy(1.0, -2.0)
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Buffered line-at-a-time reading follows the database-Rust guidance —
 //! one reusable `String`, no per-line allocation beyond the parsed floats.
 
-use birch_core::Point;
+use birch_core::{Point, PointError};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::Path;
@@ -64,7 +64,8 @@ pub fn write_points(
 /// # Errors
 ///
 /// Returns an I/O error for file problems, or `InvalidData` for malformed
-/// rows (wrong arity, unparsable numbers).
+/// rows (wrong arity, unparsable numbers, no coordinates, or a NaN/±∞
+/// coordinate — named by its 1-based row and column).
 pub fn read_points(path: &Path, labeled: bool) -> io::Result<LabeledPoints> {
     let mut reader = BufReader::new(File::open(path)?);
     let mut points = Vec::new();
@@ -110,7 +111,14 @@ pub fn read_points(path: &Path, labeled: bool) -> io::Result<LabeledPoints> {
             }
             Some(_) => {}
         }
-        points.push(Point::new(coords));
+        let point = Point::try_new(coords).map_err(|e| match e {
+            PointError::Empty => bad(row, "no coordinates"),
+            PointError::NonFinite { index, value } => bad(
+                row,
+                &format!("column {}: non-finite coordinate {value}", index + 1),
+            ),
+        })?;
+        points.push(point);
         if labeled {
             labels.push(label);
         }
@@ -164,6 +172,39 @@ mod tests {
         let path = tmp("bad");
         std::fs::write(&path, "1.0,2.0\n3.0,oops\n").unwrap();
         let err = read_points(&path, false).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("row 2"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_finite_coordinates_rejected() {
+        // Every spelling `f64::from_str` accepts for NaN and ±∞ parses,
+        // so the finiteness check must turn each into an `InvalidData`
+        // error naming the row and the column, not a panic.
+        for (i, bad) in ["NaN", "inf", "-inf", "infinity", "-Infinity"]
+            .iter()
+            .enumerate()
+        {
+            let path = tmp(&format!("nonfinite-{i}"));
+            std::fs::write(&path, format!("1.0,2.0,0\n3.0,4.0,1\n5.0,{bad},1\n")).unwrap();
+            let err = read_points(&path, true).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("row 3") && msg.contains("column 2"),
+                "{bad}: {msg}"
+            );
+            assert!(msg.contains("non-finite"), "{bad}: {msg}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn label_only_row_rejected() {
+        let path = tmp("nocoords");
+        std::fs::write(&path, "1.0,2.0,0\n7\n").unwrap();
+        let err = read_points(&path, true).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("row 2"));
         std::fs::remove_file(&path).ok();

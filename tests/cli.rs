@@ -396,6 +396,31 @@ fn cluster_rejects_missing_file() {
 }
 
 #[test]
+fn cluster_rejects_non_finite_coordinates() {
+    for (i, bad) in ["NaN", "inf", "-inf"].iter().enumerate() {
+        let data = tmp(&format!("nonfinite-{i}.csv"));
+        std::fs::write(&data, format!("0.5,1.5\n2.0,{bad}\n3.0,4.0\n")).unwrap();
+        let out = cli()
+            .args(["cluster", "--input"])
+            .arg(&data)
+            .args(["--k", "2"])
+            .output()
+            .expect("run cluster");
+        std::fs::remove_file(&data).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bad}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad}: {stderr}");
+        assert!(
+            stderr.contains("error reading")
+                && stderr.contains("row 2")
+                && stderr.contains("column 2")
+                && stderr.contains("non-finite"),
+            "{bad}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn no_subcommand_prints_usage() {
     let out = cli().output().expect("run bare");
     assert_eq!(out.status.code(), Some(2));
