@@ -150,6 +150,13 @@ impl CfJournal {
             self.file.read_exact(&mut head)?;
             let n_words = u32::from_le_bytes(head[0..4].try_into().expect("4 bytes")) as usize;
             let stored = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
+            // The checksum covers the payload, not this count: check it
+            // before it sizes an allocation.
+            assert_eq!(
+                n_words,
+                Cf::words_per_entry(dim),
+                "outlier journal record {i} has a corrupt word count"
+            );
             let mut payload = vec![0u8; n_words * 8];
             self.file.read_exact(&mut payload)?;
             self.bytes_read += (8 + payload.len()) as u64;

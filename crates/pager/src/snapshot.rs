@@ -185,7 +185,9 @@ impl SnapshotReader {
             return Err(SnapshotError::BadVersion(version));
         }
         let count = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
-        let mut sections = Vec::with_capacity(count as usize);
+        // No CRC covers the count, so a corrupt one must not size the
+        // allocation: every section takes at least its 16-byte header.
+        let mut sections = Vec::with_capacity((count as usize).min((bytes.len() - 16) / 16));
         let mut at = 16usize;
         for _ in 0..count {
             if bytes.len() < at + 16 {

@@ -420,6 +420,104 @@ fn cluster_rejects_non_finite_coordinates() {
     }
 }
 
+/// `--input /dev/stdin` fed by a pipe: a stream with no length, which the
+/// reader parses in one pass, must cluster exactly like the same CSV read
+/// from a file.
+#[cfg(unix)]
+#[test]
+fn cluster_reads_piped_stdin_like_a_file() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let data = tmp("stdin-data.csv");
+    let out = cli()
+        .args(["generate", "--preset", "ds1", "--out"])
+        .arg(&data)
+        .args(["--per-cluster", "20", "--seed", "5"])
+        .output()
+        .expect("run generate");
+    assert!(out.status.success());
+    let csv = std::fs::read(&data).unwrap();
+
+    let cluster = |input: &str, stdin: Option<&[u8]>, tag: &str| {
+        let (summary, labels) = (
+            tmp(&format!("{tag}-summary.csv")),
+            tmp(&format!("{tag}-labels.csv")),
+        );
+        let mut child = cli()
+            .args([
+                "cluster",
+                "--input",
+                input,
+                "--k",
+                "100",
+                "--labeled",
+                "true",
+            ])
+            .arg("--summary-out")
+            .arg(&summary)
+            .arg("--labels-out")
+            .arg(&labels)
+            .stdin(if stdin.is_some() {
+                Stdio::piped()
+            } else {
+                Stdio::null()
+            })
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run cluster");
+        let writer = stdin.map(|bytes| {
+            let mut pipe = child.stdin.take().unwrap();
+            let bytes = bytes.to_vec();
+            std::thread::spawn(move || pipe.write_all(&bytes))
+        });
+        let out = child.wait_with_output().unwrap();
+        if let Some(writer) = writer {
+            writer.join().unwrap().expect("write the CSV to stdin");
+        }
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let artifacts = (
+            std::fs::read(&summary).unwrap(),
+            std::fs::read(&labels).unwrap(),
+        );
+        std::fs::remove_file(&summary).ok();
+        std::fs::remove_file(&labels).ok();
+        (stdout, artifacts)
+    };
+    let (piped, piped_artifacts) = cluster("/dev/stdin", Some(&csv), "piped");
+    let (file, file_artifacts) = cluster(data.to_str().unwrap(), None, "file");
+    std::fs::remove_file(&data).ok();
+
+    assert!(
+        piped.contains("read 2000 points from /dev/stdin"),
+        "{piped}"
+    );
+    assert!(file.contains("read 2000 points from"), "{file}");
+    // Everything but the file paths and the fit's wall time must agree.
+    let deterministic = |s: &str| -> Vec<String> {
+        s.lines()
+            .filter(|l| !l.starts_with("read ") && !l.contains(" written to "))
+            .map(|l| match l.split_once(" in ") {
+                Some((head, tail)) if l.starts_with("found ") => {
+                    format!("{head} {}", tail.split_once(' ').map_or("", |t| t.1))
+                }
+                _ => l.to_string(),
+            })
+            .collect()
+    };
+    assert_eq!(deterministic(&piped), deterministic(&file));
+    assert!(
+        piped_artifacts == file_artifacts,
+        "summary or labels differ"
+    );
+}
+
 #[test]
 fn no_subcommand_prints_usage() {
     let out = cli().output().expect("run bare");
