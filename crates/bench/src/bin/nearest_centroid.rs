@@ -1,7 +1,8 @@
 //! Phase 4 / `predict` nearest-centroid scan microbenchmark: the scan with
-//! and without the reverse-triangle norm bound, swept over dimensionality.
+//! and without the reverse-triangle norm bound, and through the exact
+//! cell grid, swept over dimensionality, centroid count and grid cells.
 //!
-//! Per dim, a mixture of `K` isotropic normals of per-axis deviation
+//! Per (K, dim), a mixture of `K` isotropic normals of per-axis deviation
 //! `--sigma` (default 1, DS1's cluster spread) with centres uniform in
 //! DS1's 10·4√2 extent along every axis is generated, a model is fitted
 //! to a sample of it with `K` clusters, and each remaining point is
@@ -11,26 +12,31 @@
 //!   `|‖p‖ − ‖c‖|` (shaved by the Phase 1 prune slack) already exceeds the
 //!   best distance so far;
 //! * `brute` — the same scan without the bound;
+//! * `grid` — the production [`CellGrid`] built at this dim with `c`
+//!   cells per centroid (one row per `--cells` value), falling back to
+//!   `brute` for a point outside it;
 //! * `predict` — the production [`BirchModel::predict`].
 //!
-//! Dims 1–4 run both local scans monomorphized over the dimension, as
-//! production does. The three arms are sampled in interleaved windows
-//! and the min wall per point is kept. Every arm must return the same
-//! label for every point, and the bin panics if one does not.
+//! Dims 1–4 run the local scans monomorphized over the dimension, as
+//! production does. The four arms are sampled in interleaved windows
+//! and the min wall per point is kept, as is the min wall of the grid's
+//! build (`build-us`). Every arm must return the same label for every
+//! point, and the bin panics if one does not.
 //!
 //! ```text
 //! cargo run --release -p birch-bench --bin nearest_centroid \
-//!     [-- --seed 42 --reps 7 --sigma 1 --dims 2,3,4,5,8,32]
+//!     [-- --seed 42 --reps 7 --sigma 1 --k 10,100,1000 --cells 1,2,4,8 \
+//!         --dims 1,2,3,4,5,6]
 //! ```
 
 use birch_bench::{print_header, print_row};
 use birch_core::distance::D0_PRUNE_SLACK_REL;
+use birch_core::phase4::{CellGrid, GRID_CELLS_PER_CENTROID};
 use birch_core::{Birch, BirchConfig, BirchModel, Point};
 use std::time::Instant;
 
-/// Clusters per mixture, and centroids per scan: DS1's K.
-const K: usize = 100;
-/// Points fitted per dim.
+/// Points fitted per dim at K ≤ 100; larger K fit `K / 100` times as
+/// many.
 const FIT_POINTS: usize = 20_000;
 /// Points labelled per timed window.
 const SCAN_POINTS: usize = 50_000;
@@ -60,13 +66,14 @@ impl Rng {
     }
 }
 
-fn mixture(dim: usize, n: usize, sigma: f64, rng: &mut Rng) -> Vec<Point> {
-    let centres: Vec<Vec<f64>> = (0..K)
+/// `n` points of a mixture of `k` normals.
+fn mixture(k: usize, dim: usize, n: usize, sigma: f64, rng: &mut Rng) -> Vec<Point> {
+    let centres: Vec<Vec<f64>> = (0..k)
         .map(|_| (0..dim).map(|_| rng.f64() * EXTENT).collect())
         .collect();
     (0..n)
         .map(|_| {
-            let c = &centres[(rng.next() % K as u64) as usize];
+            let c = &centres[(rng.next() % k as u64) as usize];
             Point::new(c.iter().map(|x| x + sigma * rng.normal()).collect())
         })
         .collect()
@@ -180,10 +187,22 @@ fn pass(points: &[Point], mut label: impl FnMut(&Point) -> usize) -> (f64, u64) 
     (t0.elapsed().as_nanos() as f64 / points.len() as f64, sum)
 }
 
+/// A comma-separated list of integers.
+fn list(flag: &str, v: &str) -> Vec<usize> {
+    v.split(',')
+        .map(|x| {
+            x.parse()
+                .unwrap_or_else(|_| panic!("{flag} must be integers"))
+        })
+        .collect()
+}
+
 fn main() {
     let mut seed = 42u64;
     let mut reps = 7usize;
     let mut sigma = 1.0f64;
+    let mut ks = vec![100usize];
+    let mut cells = vec![GRID_CELLS_PER_CENTROID];
     let mut dims = vec![2usize, 3, 4, 5, 8, 32];
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -192,15 +211,13 @@ fn main() {
             "--seed" => seed = value("--seed").parse().expect("--seed must be an integer"),
             "--reps" => reps = value("--reps").parse().expect("--reps must be an integer"),
             "--sigma" => sigma = value("--sigma").parse().expect("--sigma must be a number"),
-            "--dims" => {
-                dims = value("--dims")
-                    .split(',')
-                    .map(|d| d.parse().expect("--dims must be integers"))
-                    .collect();
-            }
+            "--k" => ks = list("--k", &value("--k")),
+            "--cells" => cells = list("--cells", &value("--cells")),
+            "--dims" => dims = list("--dims", &value("--dims")),
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: nearest_centroid [--seed n] [--reps n] [--sigma s] [--dims a,b,…]"
+                    "usage: nearest_centroid [--seed n] [--reps n] [--sigma s] [--k a,b,…] \
+                     [--cells a,b,…] [--dims a,b,…]"
                 );
                 std::process::exit(0);
             }
@@ -210,62 +227,113 @@ fn main() {
     assert!(reps >= 1, "--reps must be >= 1");
 
     println!(
-        "Nearest-centroid scan over K={K} centroids, sigma={sigma}, {SCAN_POINTS} points \
-         per pass, reps={reps} (min wall kept)\n"
+        "Nearest-centroid scan, sigma={sigma}, {SCAN_POINTS} points per pass, reps={reps} \
+         (min wall kept)\n"
     );
-    let widths = [5, 9, 9, 11, 8, 10];
+    let widths = [5, 4, 3, 9, 9, 8, 11, 9, 7, 7, 7, 10, 9];
     print_header(
         &[
+            "k",
             "dim",
+            "c",
             "bound-ns",
             "brute-ns",
+            "grid-ns",
             "predict-ns",
+            "build-us",
+            "cand",
+            "inside",
             "pruned",
             "bound/brute",
+            "grid/brute",
         ],
         &widths,
     );
-    for dim in dims {
-        let mut rng = Rng(seed ^ (dim as u64) << 8);
-        let mut points = mixture(dim, FIT_POINTS + SCAN_POINTS, sigma, &mut rng);
-        let fit = points.split_off(SCAN_POINTS);
-        // Pages and memory grow with the entry size, so every dim's tree
-        // holds as many entries as the dim-2 defaults do.
-        let scale = dim.div_ceil(2);
-        let base = BirchConfig::with_clusters(K);
-        let (page, memory) = (base.page_bytes * scale, base.memory_bytes * scale);
-        let config = base.threads(1).page_size(page).memory(memory);
-        let model: BirchModel = Birch::new(config).fit(&fit).expect("fit the mixture");
-        let centroids: Vec<&Point> = model.clusters().iter().map(|c| &c.centroid).collect();
-        let slab = Slab {
-            dim,
-            coords: centroids.iter().flat_map(|c| c.coords()).copied().collect(),
-            norms: centroids.iter().map(|c| norm(c.coords())).collect(),
-        };
+    for &k in &ks {
+        for &dim in &dims {
+            let mut rng = Rng(seed ^ (dim as u64) << 8 ^ (k as u64) << 24);
+            // Fit points, memory and Phase 2's output grow with K so that
+            // the fit finds K clusters.
+            let grow = k.div_ceil(100);
+            let mut points = mixture(k, dim, FIT_POINTS * grow + SCAN_POINTS, sigma, &mut rng);
+            let fit = points.split_off(SCAN_POINTS);
+            // Pages and memory grow with the entry size, so every dim's tree
+            // holds as many entries as the dim-2 defaults do.
+            let scale = dim.div_ceil(2);
+            let mut base = BirchConfig::with_clusters(k);
+            base.phase2_max_entries *= grow;
+            let (page, memory) = (base.page_bytes * scale, base.memory_bytes * scale * grow);
+            let config = base.threads(1).page_size(page).memory(memory);
+            let model: BirchModel = Birch::new(config).fit(&fit).expect("fit the mixture");
+            let centroids: Vec<&Point> = model.clusters().iter().map(|c| &c.centroid).collect();
+            let slab = Slab {
+                dim,
+                coords: centroids.iter().flat_map(|c| c.coords()).copied().collect(),
+                norms: centroids.iter().map(|c| norm(c.coords())).collect(),
+            };
+            let pruned: usize = points.iter().map(|p| pruned(p, &slab)).sum();
+            let share = pruned as f64 / (SCAN_POINTS * centroids.len()) as f64;
 
-        let (mut bound_ns, mut brute_ns, mut predict_ns) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for _ in 0..reps {
-            let (t_bound, a) = pass(&points, |p| nearest::<true>(p, &slab).0);
-            let (t_brute, b) = pass(&points, |p| nearest::<false>(p, &slab).0);
-            let (t_predict, c) = pass(&points, |p| model.predict(p));
-            assert!(a == b && b == c, "dim {dim}: the scans disagree on a label");
-            bound_ns = bound_ns.min(t_bound);
-            brute_ns = brute_ns.min(t_brute);
-            predict_ns = predict_ns.min(t_predict);
+            for &c in &cells {
+                let (mut bound_ns, mut brute_ns, mut grid_ns, mut predict_ns, mut build_us) = (
+                    f64::INFINITY,
+                    f64::INFINITY,
+                    f64::INFINITY,
+                    f64::INFINITY,
+                    f64::INFINITY,
+                );
+                let mut grid = None;
+                for _ in 0..reps {
+                    let t0 = Instant::now();
+                    grid = CellGrid::new(&slab.coords, dim, c);
+                    build_us = build_us.min(t0.elapsed().as_secs_f64() * 1e6);
+                    let grid = grid.as_ref();
+                    let (t_bound, a) = pass(&points, |p| nearest::<true>(p, &slab).0);
+                    let (t_brute, b) = pass(&points, |p| nearest::<false>(p, &slab).0);
+                    let (t_grid, g) = pass(&points, |p| {
+                        grid.and_then(|g| g.nearest(p, &slab.coords))
+                            .unwrap_or_else(|| nearest::<false>(p, &slab))
+                            .0
+                    });
+                    let (t_predict, m) = pass(&points, |p| model.predict(p));
+                    assert!(
+                        a == b && b == g && g == m,
+                        "k {k} dim {dim} c {c}: the scans disagree on a label"
+                    );
+                    bound_ns = bound_ns.min(t_bound);
+                    brute_ns = brute_ns.min(t_brute);
+                    grid_ns = grid_ns.min(t_grid);
+                    predict_ns = predict_ns.min(t_predict);
+                }
+                let (cand, inside) = grid.as_ref().map_or(("-".into(), "-".into()), |g| {
+                    let inside = points
+                        .iter()
+                        .filter(|p| g.nearest(p, &slab.coords).is_some())
+                        .count();
+                    (
+                        format!("{:.1}", g.candidates() as f64 / g.cells() as f64),
+                        format!("{:.0}%", 100.0 * inside as f64 / points.len() as f64),
+                    )
+                });
+                print_row(
+                    &[
+                        format!("{}", centroids.len()),
+                        format!("{dim}"),
+                        format!("{c}"),
+                        format!("{bound_ns:.1}"),
+                        format!("{brute_ns:.1}"),
+                        format!("{grid_ns:.1}"),
+                        format!("{predict_ns:.1}"),
+                        format!("{build_us:.0}"),
+                        cand,
+                        inside,
+                        format!("{:.0}%", 100.0 * share),
+                        format!("{:.2}", bound_ns / brute_ns),
+                        format!("{:.2}", grid_ns / brute_ns),
+                    ],
+                    &widths,
+                );
+            }
         }
-        let pruned: usize = points.iter().map(|p| pruned(p, &slab)).sum();
-        let share = pruned as f64 / (SCAN_POINTS * centroids.len()) as f64;
-        print_row(
-            &[
-                format!("{dim}"),
-                format!("{bound_ns:.1}"),
-                format!("{brute_ns:.1}"),
-                format!("{predict_ns:.1}"),
-                format!("{:.0}%", 100.0 * share),
-                format!("{:.2}", bound_ns / brute_ns),
-            ],
-            &widths,
-        );
     }
 }

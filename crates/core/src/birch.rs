@@ -287,7 +287,13 @@ impl BirchModel {
     }
 
     /// Assigns an arbitrary point to its nearest cluster centroid
-    /// (Euclidean), like Phase 4 does.
+    /// (Euclidean), like Phase 4 does; the lowest index wins ties.
+    ///
+    /// At dims 1–5 with at least 32 clusters, a point inside the
+    /// centroids' cell grid (built once at fit time) scans only its cell's
+    /// candidate centroids: about 3 of 100 at dim 2 on DS1-like data,
+    /// ~30 ns against ~160 ns for all 100. Other points and models scan
+    /// all K centroids, O(K·d). Both give the same answer (DESIGN §11.6).
     ///
     /// # Panics
     ///
