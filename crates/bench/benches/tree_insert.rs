@@ -4,9 +4,7 @@
 //!
 //! The `descent_scan` group compares the batched closest-child kernel
 //! (one [`CfBlock`] sweep, memoized norms) against a scalar baseline that
-//! walks a `Vec<Cf>` re-deriving every `‖LS‖²` — the seed-era inner loop.
-//! The `prune` group measures whole-tree insertion with the optional D0
-//! triangle-inequality descent prune off vs on.
+//! walks a `Vec<Cf>` through the scalar kernel — the seed-era inner loop.
 
 use birch_bench::scalar_distance_replica;
 use birch_core::distance::{closest_among, CfBlock};
@@ -31,7 +29,6 @@ fn params(threshold: f64) -> TreeParams {
         threshold_kind: ThresholdKind::Diameter,
         metric: DistanceMetric::D2,
         merge_refinement: true,
-        descend_prune: false,
     }
 }
 
@@ -131,35 +128,5 @@ fn bench_descent_scan(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole-tree insertion under D0 with the triangle-inequality descent
-/// prune off vs on (output-identical; only the scan cost differs).
-fn bench_prune(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tree_insert_d0_prune");
-    let pts = points(10_000);
-    for (label, prune) in [("off", false), ("on", true)] {
-        group.throughput(Throughput::Elements(pts.len() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &prune, |b, &pr| {
-            b.iter(|| {
-                let mut tree = CfTree::new(TreeParams {
-                    metric: DistanceMetric::D0,
-                    descend_prune: pr,
-                    ..params(0.5)
-                });
-                for p in &pts {
-                    tree.insert_point(black_box(p));
-                }
-                black_box(tree.stats().distance_calls)
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_insert,
-    bench_branching,
-    bench_descent_scan,
-    bench_prune
-);
+criterion_group!(benches, bench_insert, bench_branching, bench_descent_scan);
 criterion_main!(benches);

@@ -1,11 +1,12 @@
-//! CF numerical-stability sweep: classic (N, LS, SS) vs stable
-//! (N, μ, SSE) backends against a 128-bit ground truth.
+//! CF numerical-stability sweep: the paper's classic (N, LS, SS) formulas
+//! (the `cf::classic` reference) vs the stable (N, μ, SSE) CF the tree
+//! stores, against a 128-bit ground truth.
 //!
 //! For each dim ∈ {2, 8, 32} × coordinate offset ∈ {0, 1e4, 1e8}, two
 //! tight clusters are generated with *dyadic* spreads (exact multiples
 //! of 2⁻¹¹), so the shifted cloud is an exact translate of the origin
 //! cloud and every reported error is CF-algebra arithmetic, not input
-//! rounding. Both backends ingest the identical points; their radius and
+//! rounding. Both forms ingest the identical points; their radius and
 //! D4 (between the two clusters) are compared to a double-double
 //! recomputation from the realized points.
 //!
@@ -21,6 +22,7 @@
 
 use birch_core::cf::{classic, stable};
 use birch_core::quad::{dd_mean, dd_sq_deviation, Dd};
+use birch_core::DistanceMetric;
 
 const DIMS: [usize; 3] = [2, 8, 32];
 const OFFSETS: [f64; 3] = [0.0, 1e4, 1e8];
@@ -127,7 +129,7 @@ fn main() {
     }
 
     println!(
-        "CF backend stability sweep: dims {DIMS:?} x offsets {OFFSETS:?}, \
+        "CF stability sweep: dims {DIMS:?} x offsets {OFFSETS:?}, \
          {PER_CLUSTER} pts/cluster\n"
     );
     println!(
@@ -159,20 +161,8 @@ fn main() {
             }
 
             let (radius_truth, d4_truth) = dd_truth(&pts_a, &pts_b);
-
-            use birch_core::distance::{
-                classic_distance, stable_distance, ClassicView, StableView,
-            };
-            let classic_d4 = classic_distance(
-                birch_core::DistanceMetric::D4,
-                &ClassicView::of(&ca),
-                &ClassicView::of(&cb),
-            );
-            let stable_d4 = stable_distance(
-                birch_core::DistanceMetric::D4,
-                &StableView::of(&sa),
-                &StableView::of(&sb),
-            );
+            let classic_d4 = ca.distance(DistanceMetric::D4, &cb);
+            let stable_d4 = DistanceMetric::D4.distance(&sa, &sb);
 
             for (stat, truth, c_est, s_est) in [
                 ("radius", radius_truth, ca.radius(), sa.radius()),
@@ -195,17 +185,11 @@ fn main() {
         }
     }
 
-    // Which backend `birch_core::Cf` aliases in this build — the sweep
-    // itself always measures both explicitly, but the committed JSON
-    // should name the default the claims defend.
-    let default_backend = if cfg!(feature = "classic-cf") {
-        "classic"
-    } else {
-        "stable"
-    };
+    // `default_backend` names the form `birch_core::Cf` stores, the one
+    // the claims defend.
     let mut json = format!(
         "{{\"bench\":\"cf_stability\",\"seed\":{seed},\
-         \"default_backend\":\"{default_backend}\",\
+         \"default_backend\":\"stable\",\
          \"points_per_cluster\":{PER_CLUSTER},\"gap\":{GAP},\
          \"spread_quantum\":{QUANTUM},\"rows\":["
     );
@@ -244,7 +228,7 @@ fn main() {
         if r.offset == 1e8 {
             assert!(
                 r.classic_err >= 1e-2,
-                "classic backend unexpectedly survived dim {} offset {:e} {} (rel err {:e})",
+                "classic reference unexpectedly survived dim {} offset {:e} {} (rel err {:e})",
                 r.dim,
                 r.offset,
                 r.stat,

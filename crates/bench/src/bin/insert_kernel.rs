@@ -12,36 +12,34 @@
 //!
 //! Both sides scan the same [`CfBlock`]; the baseline routes every
 //! distance through the scalar kernel (bit-identical to
-//! `DistanceMetric::distance`) while the production side takes whatever
-//! [`KERNEL_KIND`] names — the lane path on default builds, the same
-//! scalar path under `classic-cf` / `--no-default-features`. The reported
-//! speedup therefore isolates exactly the lane-vs-scalar dispatch choice
-//! the `simd` feature makes. On lane builds the bin asserts the speedup
-//! matrix stays at or above [`MIN_LANE_SPEEDUP`] in every cell.
-//! Writes `BENCH_insert_kernel.json` (each row carries a `simd` column
-//! naming the kernel family measured) and finishes with two end-to-end
-//! `# METRICS` lines (D0 descent-prune off/on) so the distance-call
-//! counters land in the committed bench trajectory.
+//! `DistanceMetric::distance`) while the production side takes the lane
+//! kernels. The reported speedup therefore isolates exactly the
+//! lane-vs-scalar choice, and the bin asserts the speedup matrix stays at
+//! or above [`MIN_LANE_SPEEDUP`] in every cell. Writes
+//! `BENCH_insert_kernel.json` (each row carries a `simd` column naming
+//! the kernel family measured: always `lane`).
 //!
 //! ```text
 //! cargo run --release -p birch-bench --bin insert_kernel \
 //!     [-- --seed 42 --reps 5 --out BENCH_insert_kernel.json]
 //! ```
 
-use birch_bench::{print_header, print_metrics, print_row};
+use birch_bench::{print_header, print_row};
 use birch_core::distance::{
     closest_among, closest_among_scalar, farthest_pair, farthest_pair_scalar, pair_in_block,
-    pair_in_block_scalar, CfBlock, KERNEL_KIND,
+    pair_in_block_scalar, CfBlock,
 };
-use birch_core::{Birch, BirchConfig, Cf, DistanceMetric, Point};
+use birch_core::{Cf, DistanceMetric, Point};
 use std::time::Instant;
 
 const DIMS: [usize; 4] = [2, 8, 32, 128];
+/// The kernel family the production scans run on, recorded in the JSON.
+const KERNEL: &str = "lane";
 const DESCENT_FANOUT: usize = 25;
 const SPLIT_ENTRIES: usize = 32;
 const PHASE3_ENTRIES: usize = 64;
 
-/// Floor the full speedup matrix must clear on lane builds: the lane
+/// Floor the full speedup matrix must clear: the lane
 /// path must never be slower than the scalar kernel form it replaces.
 /// The dim ≤ 4 serial specializations share the scalar arithmetic but
 /// hoist the slab accessors out of the scan (the scalar form re-derives
@@ -285,7 +283,7 @@ fn main() {
 
     let mut json = format!(
         "{{\"bench\":\"insert_kernel\",\"seed\":{seed},\"reps\":{reps},\
-         \"simd\":\"{KERNEL_KIND}\",\
+         \"simd\":\"{KERNEL}\",\
          \"descent_fanout\":{DESCENT_FANOUT},\"split_entries\":{SPLIT_ENTRIES},\
          \"phase3_entries\":{PHASE3_ENTRIES},\"rows\":["
     );
@@ -294,7 +292,7 @@ fn main() {
             json.push(',');
         }
         json.push_str(&format!(
-            "{{\"dim\":{},\"metric\":\"{}\",\"op\":\"{}\",\"simd\":\"{KERNEL_KIND}\",\
+            "{{\"dim\":{},\"metric\":\"{}\",\"op\":\"{}\",\"simd\":\"{KERNEL}\",\
              \"scalar_ns\":{},\"kernel_ns\":{},\"speedup\":{}}}",
             r.dim,
             r.metric,
@@ -308,54 +306,27 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("\nresults written to {out_path}");
 
-    // On lane builds the dispatch contract is "never slower than the
-    // scalar form": every cell of the speedup matrix must clear the
-    // noise-calibrated floor. Scalar-only builds time the same path twice,
-    // so the ratio is pure timer noise and the assert would be vacuous.
-    if KERNEL_KIND == "lane" {
-        let worst = rows
-            .iter()
-            .min_by(|a, b| {
-                let (sa, sb) = (a.scalar_ns / a.kernel_ns, b.scalar_ns / b.kernel_ns);
-                sa.total_cmp(&sb)
-            })
-            .expect("bench produced rows");
-        let worst_speedup = worst.scalar_ns / worst.kernel_ns;
-        assert!(
-            worst_speedup >= MIN_LANE_SPEEDUP - LANE_NOISE_TOL,
-            "lane kernel slower than its scalar form: dim={} metric={} op={} speedup={:.2} < {} - {LANE_NOISE_TOL} noise allowance",
-            worst.dim,
-            worst.metric,
-            worst.op,
-            worst_speedup,
-            MIN_LANE_SPEEDUP,
-        );
-        println!(
-            "speedup matrix floor: {worst_speedup:.2} (>= {} - {LANE_NOISE_TOL} noise allowance required)",
-            MIN_LANE_SPEEDUP
-        );
-    }
-
-    // End-to-end counter datapoints: a fixed D0 workload with the descent
-    // prune off vs on. The clusterings are identical (the prune is
-    // selection-exact); only the distance-call counters move.
-    let mut rng = Rng(seed ^ 0xE2E);
-    let pts: Vec<Point> = (0..20_000)
-        .map(|i| {
-            let c = f64::from(i % 10) * 40.0;
-            Point::xy(c + rng.f64() * 3.0, c + rng.f64() * 3.0)
+    // The dispatch contract is "never slower than the scalar form": every
+    // cell of the speedup matrix must clear the noise-calibrated floor.
+    let worst = rows
+        .iter()
+        .min_by(|a, b| {
+            let (sa, sb) = (a.scalar_ns / a.kernel_ns, b.scalar_ns / b.kernel_ns);
+            sa.total_cmp(&sb)
         })
-        .collect();
-    for (label, prune) in [
-        ("insert_kernel_prune_off", false),
-        ("insert_kernel_prune_on", true),
-    ] {
-        let config = BirchConfig::with_clusters(10)
-            .memory(32 * 1024)
-            .metric(DistanceMetric::D0)
-            .descend_prune(prune)
-            .total_points(pts.len() as u64);
-        let model = Birch::new(config).fit(&pts).expect("fit succeeds");
-        print_metrics(label, &model);
-    }
+        .expect("bench produced rows");
+    let worst_speedup = worst.scalar_ns / worst.kernel_ns;
+    assert!(
+        worst_speedup >= MIN_LANE_SPEEDUP - LANE_NOISE_TOL,
+        "lane kernel slower than its scalar form: dim={} metric={} op={} speedup={:.2} < {} - {LANE_NOISE_TOL} noise allowance",
+        worst.dim,
+        worst.metric,
+        worst.op,
+        worst_speedup,
+        MIN_LANE_SPEEDUP,
+    );
+    println!(
+        "speedup matrix floor: {worst_speedup:.2} (>= {} - {LANE_NOISE_TOL} noise allowance required)",
+        MIN_LANE_SPEEDUP
+    );
 }

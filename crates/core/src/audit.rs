@@ -25,14 +25,14 @@
 //!    cached `leaf_entry_count` correct, arena ids consistent, free-list
 //!    slots unreachable, and (optionally) end-to-end N conservation
 //!    against the points actually fed.
-//! 6. **Cached statistics**: every CF's memoized `‖LS‖²` matches a
-//!    from-scratch `LS·LS` within tolerance (drift is additionally
+//! 6. **Cached statistics**: every CF's memoized `‖μ‖²` matches a
+//!    from-scratch `μ·μ` within tolerance (drift is additionally
 //!    reported as the measurable [`AuditReport::norm_cache_drift`] —
 //!    exactly `0` under the current refresh-by-recomputation policy), and
 //!    every node's flat SoA mirror ([`crate::distance::CfBlock`]) matches
 //!    its entries bit for bit.
-//! 7. **Kernel agreement** (lane builds only): every node's row distances
-//!    replayed through the production SIMD kernel ([`crate::simd`]) agree
+//! 7. **Kernel agreement**: every node's row distances
+//!    replayed through the production lane kernel (the `simd` module) agree
 //!    with the bit-exact scalar oracle within the tolerance contract
 //!    [`crate::distance::SIMD_TOLERANCE_REL`] (worst case reported as
 //!    [`AuditReport::simd_kernel_drift`]).
@@ -50,7 +50,7 @@
 //! beyond the configured tolerance *is* a violation. The auditor also
 //! recomputes the tree's total squared deviation in ~106-bit double-double
 //! arithmetic ([`crate::quad`]) and reports the disagreement with the
-//! active backend's f64 value as [`AuditReport::cancellation_drift`] —
+//! CF's own f64 value as [`AuditReport::cancellation_drift`] —
 //! the catastrophic-cancellation measurable (report-only; see the field
 //! docs).
 //!
@@ -213,10 +213,9 @@ impl std::error::Error for AuditViolation {}
 pub struct Drift {
     /// Drift in the point count `N`.
     pub n: f64,
-    /// Worst-coordinate drift in the vector statistic (`LS` classic,
-    /// μ stable).
+    /// Worst-coordinate drift in the vector statistic (the mean μ).
     pub vec: f64,
-    /// Drift in the scalar statistic (`SS` classic, `SSE` stable).
+    /// Drift in the scalar statistic (`SSE`).
     pub scalar: f64,
 }
 
@@ -269,24 +268,21 @@ pub struct AuditReport {
     /// that.
     pub norm_cache_drift: f64,
     /// Relative disagreement between the tree's total squared deviation
-    /// as the active CF backend computes it in `f64` and the same
-    /// statistic recomputed from the leaf-entry statistics in ~106-bit
-    /// double-double arithmetic ([`crate::quad`]).
+    /// as the CF computes it in `f64` and the same statistic recomputed
+    /// from the leaf-entry statistics in ~106-bit double-double
+    /// arithmetic ([`crate::quad`]).
     ///
-    /// This is the catastrophic-cancellation measurable: the classic
-    /// `(N, LS, SS)` backend evaluates `SS − ‖LS‖²/N`, which collapses for
-    /// tight clusters far from the origin, so its drift explodes (often to
-    /// `1.0`, the statistic clamped to exact `0`) at large coordinate
-    /// offsets. The stable `(N, μ, SSE)` backend reads the deviation sum
-    /// directly and stays at round-off level regardless of offset.
-    /// Report-only: it never fails the audit — the classic backend's
-    /// nonzero drift is a documented bug, not a tree invariant violation.
+    /// This is the catastrophic-cancellation measurable: the paper's
+    /// `(N, LS, SS)` form evaluates `SS − ‖LS‖²/N`, which collapses for
+    /// tight clusters far from the origin (see [`crate::cf::classic`]).
+    /// The stored `(N, μ, SSE)` form reads the deviation sum directly and
+    /// stays at round-off level regardless of offset. Report-only: it
+    /// never fails the audit.
     pub cancellation_drift: f64,
     /// Worst relative disagreement between the lane (SIMD) row-distance
     /// kernel and the bit-exact scalar oracle across every node's rows,
-    /// probed with the tree's own metric. Exactly `0` when the lane path
-    /// is not compiled (`classic-cf`, or `--no-default-features`) and at
-    /// dim ≤ 4 (where the lane kernel is the scalar loop, bit for bit);
+    /// probed with the tree's own metric. Exactly `0` at dim ≤ 4 (where
+    /// the lane kernel is the scalar loop, bit for bit);
     /// above that, disagreement beyond
     /// [`crate::distance::SIMD_TOLERANCE_REL`] *is* a violation
     /// ([`ViolationKind::SimdKernelMismatch`]) — the tolerance contract,
@@ -411,31 +407,8 @@ pub fn audit_with(tree: &CfTree, opts: &AuditOptions) -> Result<AuditReport, Aud
 }
 
 /// Per-leaf-entry `(N, centroid, internal squared deviation)` with the
-/// last two promoted to double-double, extracted from whatever the active
-/// backend stores.
-///
-/// Classic: centroid `LS/N` and deviation `SS − ‖LS‖²/N`, both evaluated
-/// in `Dd` — note the *inputs* are the stored f64 `LS`/`SS`, so precision
-/// the backend already discarded cannot come back; that is exactly what
-/// the measurable exposes. Stable: the mean (carry folded in, exactly)
-/// and the deviation sum read directly.
-#[cfg(feature = "classic-cf")]
-fn dd_entry_stats(cf: &Cf) -> (f64, Vec<Dd>, Dd) {
-    let n = cf.n();
-    let c: Vec<Dd> = cf
-        .vec_stat()
-        .iter()
-        .map(|&x| Dd::from_f64(x).div_f64(n))
-        .collect();
-    let mut ls_sq = Dd::ZERO;
-    for &x in cf.vec_stat() {
-        ls_sq = ls_sq + Dd::from_f64(x).mul_f64(x);
-    }
-    let s = Dd::from_f64(cf.scalar_stat()) - ls_sq.div_f64(n);
-    (n, c, s)
-}
-
-#[cfg(not(feature = "classic-cf"))]
+/// last two promoted to double-double: the mean (carry folded in,
+/// exactly) and the deviation sum read directly.
 fn dd_entry_stats(cf: &Cf) -> (f64, Vec<Dd>, Dd) {
     let n = cf.n();
     let c: Vec<Dd> = cf
@@ -449,7 +422,7 @@ fn dd_entry_stats(cf: &Cf) -> (f64, Vec<Dd>, Dd) {
 
 /// Recomputes the tree's total squared deviation from its leaf-entry
 /// statistics in double-double arithmetic and returns the relative
-/// disagreement with the active backend's own f64 evaluation
+/// disagreement with the CF's own f64 evaluation
 /// ([`AuditReport::cancellation_drift`]).
 ///
 /// Decomposition: with per-entry weight `nᵢ`, centroid `cᵢ` and internal
@@ -545,7 +518,6 @@ fn check_block_sync(node: &Node, id: NodeId) -> Result<(), AuditViolation> {
 /// [`crate::distance::SIMD_TOLERANCE_REL`]. The probe is the node's own
 /// first entry — the same shape (`Cf` vs block row) the descend and
 /// split paths evaluate.
-#[cfg(all(feature = "simd", not(feature = "classic-cf")))]
 fn check_simd_kernel(
     node: &Node,
     id: NodeId,
@@ -577,18 +549,6 @@ fn check_simd_kernel(
             });
         }
     }
-    Ok(())
-}
-
-/// Scalar-only builds have no second kernel to disagree with; the
-/// measurable stays at its `0` default.
-#[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-fn check_simd_kernel(
-    _node: &Node,
-    _id: NodeId,
-    _metric: crate::distance::DistanceMetric,
-    _report: &mut AuditReport,
-) -> Result<(), AuditViolation> {
     Ok(())
 }
 
@@ -871,7 +831,6 @@ mod tests {
             threshold_kind: ThresholdKind::Diameter,
             metric: DistanceMetric::D2,
             merge_refinement: true,
-            descend_prune: false,
         }
     }
 
@@ -906,13 +865,13 @@ mod tests {
         // Incremental maintenance drifts, but far below tolerance here.
         assert!(r.interior_drift.max() <= 1e-9, "{:?}", r.interior_drift);
         assert!(r.root_drift.max() <= 1e-9, "{:?}", r.root_drift);
-        // Well-conditioned data: both CF backends agree with the
-        // double-double reference.
+        // Well-conditioned data: the CF agrees with the double-double
+        // reference.
         assert!(r.cancellation_drift <= 1e-9, "{}", r.cancellation_drift);
     }
 
     /// Tight clusters (dyadic spread ≈ 1e-3) translated to `offset`. At
-    /// offset 1e8 the classic backend's quality statistics collapse.
+    /// offset 1e8 the paper's `(N, LS, SS)` statistics would collapse.
     fn offset_tree(offset: f64) -> CfTree {
         let mut t = CfTree::new(params(0.5));
         const S: f64 = 9.765_625e-4; // 2⁻¹⁰, an exact multiple of ulp(1e8)
@@ -927,28 +886,6 @@ mod tests {
         t
     }
 
-    #[cfg(feature = "classic-cf")]
-    #[test]
-    fn cancellation_drift_exposes_classic_collapse_at_large_offset() {
-        // Near the origin the measurable is quiet...
-        let near = audit(&offset_tree(0.0)).unwrap();
-        assert!(
-            near.cancellation_drift <= 1e-9,
-            "{}",
-            near.cancellation_drift
-        );
-        // ...but at offset 1e8 the classic backend's f64 evaluation of
-        // SS − ‖LS‖²/N has lost every significant digit of the true
-        // deviation (~1e-4), and the double-double reference says so.
-        let far = audit(&offset_tree(1e8)).unwrap();
-        assert!(
-            far.cancellation_drift > 1e-3,
-            "classic cancellation drift unexpectedly small: {}",
-            far.cancellation_drift
-        );
-    }
-
-    #[cfg(not(feature = "classic-cf"))]
     #[test]
     fn cancellation_drift_stays_flat_for_stable_at_large_offset() {
         let near = audit(&offset_tree(0.0)).unwrap();
@@ -1173,8 +1110,7 @@ mod tests {
     #[test]
     fn simd_kernel_drift_is_zero_at_dim_2() {
         // dim ≤ 4 dispatches to the serial specializations, which are the
-        // scalar loop bit for bit — so the measurable must read exactly 0
-        // on lane builds, and trivially 0 on scalar-only builds.
+        // scalar loop bit for bit — so the measurable must read exactly 0.
         let t = grown_tree();
         let r = audit(&t).unwrap();
         assert_eq!(r.simd_kernel_drift, 0.0);

@@ -34,11 +34,10 @@ use std::time::{Duration, Instant};
 
 /// Version stamp of the metrics JSON emitted by [`RunStats::to_json`].
 /// Bump here (and only here) when the schema changes; tests pin this
-/// constant, not a literal. See DESIGN.md §10 for the v3 → v4,
-/// v4 → v5 and v5 → v6 migration tables. v6 adds the page-cache
-/// counters to `io` (`page_refs`/`page_faults`/`page_evictions`) and
-/// the `page_spill` component to `memory`.
-pub const METRICS_SCHEMA_VERSION: u32 = 6;
+/// constant, not a literal. See DESIGN.md §10 for the migration tables
+/// from v3 on. v7 drops the pruned descent-call counter from `counters`
+/// together with the descent prune that fed it.
+pub const METRICS_SCHEMA_VERSION: u32 = 7;
 
 /// Errors surfaced by the pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]

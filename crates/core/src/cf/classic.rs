@@ -1,677 +1,294 @@
-//! The classic CF backend: the paper's `(N, LS, SS)` triple.
+//! A reference evaluation of the paper's formulas on the classic
+//! `(N, LS, SS)` triple.
 //!
 //! **Definition 4.1**: for a cluster of `N` `d`-dimensional points `{Xᵢ}`,
 //! `CF = (N, LS, SS)` where `LS = Σ Xᵢ` is the linear sum and `SS = Σ Xᵢ·Xᵢ`
-//! is the (scalar) square sum.
+//! is the (scalar) square sum. Radius (eq. 2), diameter (eq. 3) and the
+//! inter-cluster distances D0–D4 (eqs. 4–8) all have closed forms over the
+//! triple:
 //!
-//! **CF Additivity Theorem (4.1)**: merging two disjoint clusters adds their
-//! CFs component-wise: `CF₁ + CF₂ = (N₁+N₂, LS₁+LS₂, SS₁+SS₂)`. This is what
-//! lets BIRCH cluster incrementally: all the statistics in §3 — centroid
-//! `X0` (eq. 1), radius `R` (eq. 2), diameter `D` (eq. 3) — and all the
-//! inter-cluster distances `D0…D4` (eqs. 4–8) are computable from CFs alone,
-//! *exactly* in real arithmetic, without storing the points. In f64 the
-//! derived statistics suffer catastrophic cancellation at large coordinate
-//! offsets — see the [module docs](crate::cf) and the [`stable`](crate::cf::stable)
-//! backend for the failure mode and the fix.
+//! ```text
+//! R²  = (SS − ‖LS‖²/N) / N
+//! D²  = (2N·SS − 2‖LS‖²) / (N(N−1))
+//! D2² = (N₂·SS₁ + N₁·SS₂ − 2·LS₁·LS₂) / (N₁·N₂)
+//! D3² = (2N·SSₘ − 2‖LSₘ‖²) / (N(N−1)),  N = N₁+N₂, subscript m = merged
+//! D4² = ‖LS₁‖²/N₁ + ‖LS₂‖²/N₂ − ‖LSₘ‖²/N
+//! ```
 //!
-//! Weights: the paper allows a weighted clustering function (§1) and the
-//! image application (§6.8) duplicates/weights pixels. We support a real
-//! weight per point: a point `x` with weight `w` contributes `(w, w·x,
-//! w·x·x)`. With all weights 1 this is exactly the paper's CF.
+//! These are exact in real arithmetic, but in f64 they subtract large,
+//! nearly equal terms and collapse for tight clusters far from the
+//! origin (see the [module docs](crate::cf)). The tree therefore stores
+//! the stable form ([`crate::cf::Cf`]). This type only exists so that the
+//! stability bench and the tests can measure that failure against a
+//! double-double truth and cross-check the stable form near the origin.
+//! Its arithmetic is the paper's, operation for operation, with every
+//! `‖LS‖²` computed as `dot(ls, ls)`.
 
-use crate::cf::N_DUST_REL;
+use crate::distance::DistanceMetric;
 use crate::point::{dot, Point};
-use std::fmt;
 
-/// A Clustering Feature: the exact sufficient statistics of a subcluster.
-///
-/// Alongside the paper's `(N, LS, SS)` triple, a derived statistic
-/// `‖LS‖² = LS·LS` is memoized (BETULA-style cached derived statistics):
-/// radius, diameter and the closed-form distances D3/D4 all need it, and
-/// without the cache every tree-descent distance call re-derives it with a
-/// full O(d) dot product. The cache is refreshed by *exact recomputation*
-/// after every mutation of `LS` — the refresh costs the same O(d) as an
-/// algebraic incremental update would, but keeps the cached value
-/// bit-identical to a from-scratch `dot(ls, ls)` forever (zero drift by
-/// construction; the auditor still measures it as a regression guard).
-#[derive(Clone, PartialEq)]
+/// The paper's `(N, LS, SS)` of a point set, accumulated point by point.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cf {
-    /// Total (weighted) number of points, `N`.
     n: f64,
-    /// Linear sum `LS = Σ wᵢ·Xᵢ`.
-    ls: Box<[f64]>,
-    /// Scalar square sum `SS = Σ wᵢ·Xᵢ·Xᵢ`.
+    ls: Vec<f64>,
     ss: f64,
-    /// Memoized `‖LS‖² = dot(LS, LS)`, refreshed on every mutation of `ls`.
-    ls_sq: f64,
 }
 
 impl Cf {
-    /// An empty CF of dimensionality `dim`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim == 0`.
+    /// The CF of no points at dimensionality `dim`.
     #[must_use]
     pub fn empty(dim: usize) -> Self {
-        assert!(dim > 0, "dimensionality must be positive");
         Self {
             n: 0.0,
-            ls: vec![0.0; dim].into_boxed_slice(),
+            ls: vec![0.0; dim],
             ss: 0.0,
-            ls_sq: 0.0,
         }
     }
 
-    /// The CF of a single unweighted point.
+    /// The CF of `points` (all of dimensionality `dim`).
     #[must_use]
-    pub fn from_point(p: &Point) -> Self {
-        Self::from_weighted_point(p, 1.0)
-    }
-
-    /// Heap bytes owned by this CF (the boxed `LS` slab); the struct
-    /// itself is counted by whoever stores it. Feeds the memory gauge's
-    /// accounting against budget M ([`crate::obs::mem`]).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.ls.len() * std::mem::size_of::<f64>()
-    }
-
-    /// The CF of a single point with weight `w > 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not finite and positive.
-    #[must_use]
-    pub fn from_weighted_point(p: &Point, w: f64) -> Self {
-        assert!(w.is_finite() && w > 0.0, "weight must be positive, got {w}");
-        let ls: Vec<f64> = p.iter().map(|c| c * w).collect();
-        let ls = ls.into_boxed_slice();
-        let ls_sq = dot(&ls, &ls);
-        Self {
-            n: w,
-            ls,
-            ss: w * dot(p, p),
-            ls_sq,
-        }
-    }
-
-    /// The CF of a batch of unweighted points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points` is empty or dimensions disagree.
-    #[must_use]
-    pub fn from_points<'a, I: IntoIterator<Item = &'a Point>>(points: I) -> Self {
-        let mut it = points.into_iter();
-        let first = it.next().expect("from_points needs at least one point");
-        let mut cf = Self::from_point(first);
-        for p in it {
+    pub fn from_points<'a, I: IntoIterator<Item = &'a Point>>(dim: usize, points: I) -> Self {
+        let mut cf = Self::empty(dim);
+        for p in points {
             cf.add_point(p);
         }
         cf
     }
 
-    /// Dimensionality `d`.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.ls.len()
-    }
-
-    /// Weighted point count `N`.
-    #[must_use]
-    pub fn n(&self) -> f64 {
-        self.n
-    }
-
-    /// Whether the CF summarizes no points.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0.0
-    }
-
-    /// Linear sum `LS`.
-    #[must_use]
-    pub fn ls(&self) -> &[f64] {
-        &self.ls
-    }
-
-    /// Scalar square sum `SS`.
-    #[must_use]
-    pub fn ss(&self) -> f64 {
-        self.ss
-    }
-
-    /// Memoized `‖LS‖² = dot(LS, LS)`.
-    ///
-    /// Bit-identical to recomputing `dot(self.ls(), self.ls())` from
-    /// scratch: every mutation of `LS` refreshes the cache by exact
-    /// recomputation, so callers may substitute this value anywhere the
-    /// dot product appears without changing a single result bit.
-    #[must_use]
-    pub fn ls_sq(&self) -> f64 {
-        self.ls_sq
-    }
-
-    /// Backend-agnostic vector statistic: the linear sum `LS` for this
-    /// backend (the mean `μ` for [`stable`](crate::cf::stable)). Generic
-    /// code (blocks, audits, canonical orderings) uses this instead of the
-    /// representation-specific accessor.
-    #[must_use]
-    pub fn vec_stat(&self) -> &[f64] {
-        &self.ls
-    }
-
-    /// Backend-agnostic scalar statistic: the square sum `SS` for this
-    /// backend (the deviation sum `SSE` for [`stable`](crate::cf::stable)).
-    #[must_use]
-    pub fn scalar_stat(&self) -> f64 {
-        self.ss
-    }
-
-    /// Backend-agnostic memoized `‖vec_stat‖²`: `‖LS‖²` here, `‖μ‖²` for
-    /// the stable backend. Bit-identical to `dot(vec_stat, vec_stat)` by
-    /// the exact-recomputation contract (see [`Cf::ls_sq`]).
-    #[must_use]
-    pub fn vec_stat_sq(&self) -> f64 {
-        self.ls_sq
-    }
-
-    /// Test-only corruption of the memoized norm, giving the auditor's
-    /// norm-cache check a deterministic failure to detect. Only the
-    /// feature-selected backend's helper is reachable from the audit
-    /// tests, so the other one is intentionally dead per build.
-    #[cfg(test)]
-    #[allow(dead_code)]
-    pub(crate) fn corrupt_norm_memo_for_test(&mut self, delta: f64) {
-        self.ls_sq += delta;
-    }
-
-    /// Reassigns this CF to a single unweighted point, reusing the `LS`
-    /// buffer. Bitwise-equal to `*self = Cf::from_point(p)` without the
-    /// per-point heap allocation — the insert hot path's scratch entry.
+    /// Adds one point: `N += 1`, `LS += X`, `SS += X·X`.
     ///
     /// # Panics
     ///
     /// Panics on dimension mismatch.
-    pub fn assign_point(&mut self, p: &Point) {
-        self.assign_weighted_point(p, 1.0);
-    }
-
-    /// Reassigns this CF to a single point with weight `w > 0`, reusing
-    /// the `LS` buffer (see [`Cf::assign_point`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or non-positive weight.
-    pub fn assign_weighted_point(&mut self, p: &Point, w: f64) {
-        assert!(w.is_finite() && w > 0.0, "weight must be positive, got {w}");
-        assert_eq!(
-            p.dim(),
-            self.dim(),
-            "dimension mismatch: point {} vs CF {}",
-            p.dim(),
-            self.dim()
-        );
-        self.n = w;
-        for (l, c) in self.ls.iter_mut().zip(p.iter()) {
-            *l = c * w;
-        }
-        self.ss = w * dot(p, p);
-        self.ls_sq = dot(&self.ls, &self.ls);
-    }
-
-    /// Adds one unweighted point (Additivity Theorem with a singleton).
     pub fn add_point(&mut self, p: &Point) {
-        self.add_weighted_point(p, 1.0);
-    }
-
-    /// Adds one point with weight `w > 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or non-positive weight.
-    pub fn add_weighted_point(&mut self, p: &Point, w: f64) {
-        assert!(w.is_finite() && w > 0.0, "weight must be positive, got {w}");
-        assert_eq!(
-            p.dim(),
-            self.dim(),
-            "dimension mismatch: point {} vs CF {}",
-            p.dim(),
-            self.dim()
-        );
-        self.n += w;
+        assert_eq!(p.dim(), self.ls.len(), "dimension mismatch");
+        self.n += 1.0;
         for (l, c) in self.ls.iter_mut().zip(p.iter()) {
-            *l += w * c;
+            *l += c;
         }
-        self.ss += w * dot(p, p);
-        self.ls_sq = dot(&self.ls, &self.ls);
+        self.ss += dot(p, p);
     }
 
-    /// Merges another CF into this one (the Additivity Theorem).
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn merge(&mut self, other: &Cf) {
-        assert_eq!(
-            other.dim(),
-            self.dim(),
-            "dimension mismatch: {} vs {}",
-            other.dim(),
-            self.dim()
-        );
-        self.n += other.n;
-        for (l, o) in self.ls.iter_mut().zip(other.ls.iter()) {
-            *l += o;
-        }
-        self.ss += other.ss;
-        self.ls_sq = dot(&self.ls, &self.ls);
-    }
-
-    /// Returns the merge of two CFs without mutating either.
-    #[must_use]
-    pub fn merged(&self, other: &Cf) -> Cf {
-        let mut out = self.clone();
-        out.merge(other);
-        out
-    }
-
-    /// Removes a previously merged CF (inverse of [`Cf::merge`]). Used when
-    /// a tentative absorption is rolled back and by Phase-4 reassignment.
-    ///
-    /// The weight guard is *relative*: `other` may exceed `self` by up to
-    /// `N_DUST_REL · self.n` of round-off (a fixed absolute slack would
-    /// spuriously reject float dust at large `N` and wave through real
-    /// oversubtraction at tiny `N`). Any residual weight at or below
-    /// `N_DUST_REL` of the original is likewise dust — not only `n == 0`
-    /// exactly — and snaps to the true empty CF, so no near-zero `N` with
-    /// leftover `LS`/`SS` survives to feed divide-by-near-zero centroids.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `other` holds more weight than
-    /// `self` (the subtraction would not describe a real cluster).
-    pub fn subtract(&mut self, other: &Cf) {
-        assert_eq!(
-            other.dim(),
-            self.dim(),
-            "dimension mismatch: {} vs {}",
-            other.dim(),
-            self.dim()
-        );
-        assert!(
-            other.n <= self.n * (1.0 + N_DUST_REL),
-            "cannot subtract CF with larger N ({} > {})",
-            other.n,
-            self.n
-        );
-        let n_before = self.n;
-        self.n -= other.n;
-        for (l, o) in self.ls.iter_mut().zip(other.ls.iter()) {
-            *l -= o;
-        }
-        self.ss = (self.ss - other.ss).max(0.0);
-        if self.n <= N_DUST_REL * n_before {
-            // Snap residual floating-point dust (including the tiny
-            // negatives the relative guard admits) to the true empty CF.
-            self.n = 0.0;
-            self.ls.iter_mut().for_each(|l| *l = 0.0);
-            self.ss = 0.0;
-        }
-        self.ls_sq = dot(&self.ls, &self.ls);
-    }
-
-    /// Number of 8-byte words [`Cf::to_words`] emits for dimensionality
-    /// `dim`: `N`, `LS`, and `SS`. The `‖LS‖²` memo is recomputed exactly
-    /// on decode, the same zero-drift contract every mutation obeys.
-    #[must_use]
-    pub fn words_per_entry(dim: usize) -> usize {
-        dim + 2
-    }
-
-    /// Serializes the CF into `u64` words (f64 bit patterns), appending to
-    /// `out`. Layout: `n, ls[0..d], ss`.
-    pub fn to_words(&self, out: &mut Vec<u64>) {
-        out.push(self.n.to_bits());
-        out.extend(self.ls.iter().map(|l| l.to_bits()));
-        out.push(self.ss.to_bits());
-    }
-
-    /// Rebuilds a CF from [`Cf::to_words`] output, bit-identical to the
-    /// original (the memo is recomputed by the same exact `dot`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len() != Cf::words_per_entry(dim)` or `dim == 0`.
-    #[must_use]
-    pub fn from_words(words: &[u64], dim: usize) -> Self {
-        assert!(dim > 0, "dimensionality must be positive");
-        assert_eq!(
-            words.len(),
-            Self::words_per_entry(dim),
-            "CF word count mismatch for dim {dim}"
-        );
-        let n = f64::from_bits(words[0]);
-        let ls: Box<[f64]> = words[1..1 + dim]
-            .iter()
-            .map(|&w| f64::from_bits(w))
-            .collect();
-        let ss = f64::from_bits(words[1 + dim]);
-        let ls_sq = dot(&ls, &ls);
-        Self { n, ls, ss, ls_sq }
-    }
-
-    /// Centroid `X0 = LS / N` (paper eq. 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the CF is empty.
-    #[must_use]
-    pub fn centroid(&self) -> Point {
-        assert!(!self.is_empty(), "centroid of an empty CF is undefined");
-        Point::new(self.ls.iter().map(|l| l / self.n).collect())
-    }
-
-    /// Sum of squared deviations from the centroid:
-    /// `Σ wᵢ‖Xᵢ − X0‖² = SS − ‖LS‖²/N`. Clamped at 0 against floating-point
-    /// cancellation. This is the quantity whose increase defines D4.
-    #[must_use]
-    pub fn sq_deviation(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        (self.ss - self.ls_sq / self.n).max(0.0)
-    }
-
-    /// Radius `R = sqrt(Σ‖Xᵢ − X0‖² / N)` (paper eq. 2): average distance
-    /// from member points to the centroid. Zero for empty/singleton CFs.
+    /// Radius `sqrt((SS − ‖LS‖²/N) / N)` (eq. 2), the deviation clamped
+    /// at 0. Zero for an empty CF.
     #[must_use]
     pub fn radius(&self) -> f64 {
-        if self.is_empty() {
+        if self.n == 0.0 {
             return 0.0;
         }
-        (self.sq_deviation() / self.n).sqrt()
+        let sq_dev = (self.ss - dot(&self.ls, &self.ls) / self.n).max(0.0);
+        (sq_dev / self.n).sqrt()
     }
 
-    /// Diameter `D = sqrt(Σᵢⱼ‖Xᵢ−Xⱼ‖² / (N(N−1)))` (paper eq. 3): average
-    /// pairwise distance within the cluster. In CF terms the double sum over
-    /// ordered pairs is `2N·SS − 2‖LS‖²`. Zero when `N ≤ 1`.
+    /// Diameter `sqrt((2N·SS − 2‖LS‖²) / (N(N−1)))` (eq. 3). Zero when
+    /// `N ≤ 1`.
     #[must_use]
     pub fn diameter(&self) -> f64 {
         if self.n <= 1.0 {
             return 0.0;
         }
-        let num = 2.0 * self.n * self.ss - 2.0 * self.ls_sq;
+        let num = 2.0 * self.n * self.ss - 2.0 * dot(&self.ls, &self.ls);
         (num.max(0.0) / (self.n * (self.n - 1.0))).sqrt()
     }
-}
 
-impl fmt::Debug for Cf {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CF(N={:.1}, LS=[", self.n)?;
-        for (i, l) in self.ls.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
+    /// Distance to `other` under `metric`, by the closed forms above.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either CF is empty.
+    #[must_use]
+    pub fn distance(&self, metric: DistanceMetric, other: &Cf) -> f64 {
+        assert!(
+            self.n > 0.0 && other.n > 0.0,
+            "distance between empty clusters is undefined"
+        );
+        let (a, b) = (self, other);
+        let (na, nb) = (a.n, b.n);
+        match metric {
+            DistanceMetric::D0 => {
+                a.ls.iter()
+                    .zip(&b.ls)
+                    .map(|(&x, &y)| {
+                        let d = x / na - y / nb;
+                        d * d
+                    })
+                    .sum::<f64>()
+                    .sqrt()
             }
-            write!(f, "{l:.3}")?;
+            DistanceMetric::D1 => {
+                a.ls.iter()
+                    .zip(&b.ls)
+                    .map(|(&x, &y)| (x / na - y / nb).abs())
+                    .sum()
+            }
+            DistanceMetric::D2 => {
+                let num = nb * a.ss + na * b.ss - 2.0 * dot(&a.ls, &b.ls);
+                (num.max(0.0) / (na * nb)).sqrt()
+            }
+            DistanceMetric::D3 => {
+                let n = na + nb;
+                if n <= 1.0 {
+                    return 0.0;
+                }
+                let num = 2.0 * n * (a.ss + b.ss) - 2.0 * a.merged_ls_sq(b);
+                (num.max(0.0) / (n * (n - 1.0))).sqrt()
+            }
+            DistanceMetric::D4 => {
+                let n = na + nb;
+                let inc = dot(&a.ls, &a.ls) / na + dot(&b.ls, &b.ls) / nb - a.merged_ls_sq(b) / n;
+                inc.max(0.0).sqrt()
+            }
         }
-        write!(f, "], SS={:.3})", self.ss)
+    }
+
+    /// `‖LS_a + LS_b‖²` without materializing the merged vector, the
+    /// self-norms summed first so the result is symmetric in `(a, b)`.
+    fn merged_ls_sq(&self, b: &Cf) -> f64 {
+        (dot(&self.ls, &self.ls) + dot(&b.ls, &b.ls)) + 2.0 * dot(&self.ls, &b.ls)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cf::stable;
+    use crate::quad::{dd_mean, dd_sq_deviation, Dd};
 
-    fn pts(raw: &[[f64; 2]]) -> Vec<Point> {
-        raw.iter().map(|&[x, y]| Point::xy(x, y)).collect()
+    fn points(raw: &[&[f64]]) -> Vec<Point> {
+        raw.iter().map(|c| Point::new(c.to_vec())).collect()
     }
 
-    #[test]
-    fn single_point_cf() {
-        let cf = Cf::from_point(&Point::xy(3.0, 4.0));
-        assert_eq!(cf.n(), 1.0);
-        assert_eq!(cf.ls(), &[3.0, 4.0]);
-        assert_eq!(cf.ss(), 25.0);
-        assert_eq!(cf.radius(), 0.0);
-        assert_eq!(cf.diameter(), 0.0);
-        assert_eq!(cf.centroid().coords(), &[3.0, 4.0]);
+    fn reference(pts: &[Point]) -> Cf {
+        Cf::from_points(pts[0].dim(), pts)
     }
 
-    #[test]
-    fn batch_matches_incremental() {
-        let points = pts(&[[0.0, 0.0], [2.0, 0.0], [1.0, 3.0], [-1.0, 1.0]]);
-        let batch = Cf::from_points(&points);
-        let mut inc = Cf::empty(2);
-        for p in &points {
-            inc.add_point(p);
+    fn sq(a: &[f64], b: &[f64]) -> f64 {
+        a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    }
+
+    fn centroid(pts: &[Point]) -> Vec<f64> {
+        let mut c = vec![0.0; pts[0].dim()];
+        for p in pts {
+            for (ci, x) in c.iter_mut().zip(p.iter()) {
+                *ci += x;
+            }
         }
-        assert_eq!(batch, inc);
+        c.iter().map(|x| x / pts.len() as f64).collect()
+    }
+
+    /// Sum of squared distances from `pts` to their own centroid.
+    fn scatter(pts: &[Point]) -> f64 {
+        let c = centroid(pts);
+        pts.iter().map(|p| sq(p, &c)).sum()
+    }
+
+    /// Every metric straight from its definition (eqs. 4–8), over the
+    /// points rather than any CF.
+    fn brute_force(metric: DistanceMetric, a: &[Point], b: &[Point]) -> f64 {
+        let (ca, cb) = (centroid(a), centroid(b));
+        let merged: Vec<Point> = a.iter().chain(b).cloned().collect();
+        let n = merged.len() as f64;
+        match metric {
+            DistanceMetric::D0 => sq(&ca, &cb).sqrt(),
+            DistanceMetric::D1 => ca.iter().zip(&cb).map(|(x, y)| (x - y).abs()).sum(),
+            DistanceMetric::D2 => {
+                let s: f64 = a.iter().flat_map(|p| b.iter().map(|q| sq(p, q))).sum();
+                (s / (a.len() * b.len()) as f64).sqrt()
+            }
+            DistanceMetric::D3 => {
+                let s: f64 = merged
+                    .iter()
+                    .flat_map(|p| merged.iter().map(|q| sq(p, q)))
+                    .sum();
+                (s / (n * (n - 1.0))).sqrt()
+            }
+            DistanceMetric::D4 => (scatter(&merged) - scatter(a) - scatter(b)).sqrt(),
+        }
+    }
+
+    /// Agreement to 1e-12 relative (absolute below 1).
+    fn assert_close(got: f64, want: f64, ctx: &str) {
+        assert!(
+            (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+            "{ctx}: {got} vs {want}"
+        );
     }
 
     #[test]
-    fn additivity_theorem() {
-        let a = pts(&[[0.0, 0.0], [1.0, 1.0]]);
-        let b = pts(&[[4.0, 0.0], [5.0, 5.0], [6.0, 2.0]]);
-        let cf_a = Cf::from_points(&a);
-        let cf_b = Cf::from_points(&b);
-        let merged = cf_a.merged(&cf_b);
-        let all: Vec<Point> = a.iter().chain(&b).cloned().collect();
-        let direct = Cf::from_points(&all);
-        assert_eq!(merged, direct);
+    fn closed_forms_equal_brute_force_pairwise_sums() {
+        let a = points(&[&[0.0, 0.0, 1.0], &[1.0, 1.0, 0.5], &[2.0, -1.0, 0.0]]);
+        let b = points(&[&[5.0, 5.0, -2.0], &[6.0, 4.0, -1.5]]);
+        let (ra, rb) = (reference(&a), reference(&b));
+        for m in DistanceMetric::ALL {
+            let ctx = m.to_string();
+            assert_close(ra.distance(m, &rb), brute_force(m, &a, &b), &ctx);
+            assert_close(rb.distance(m, &ra), brute_force(m, &b, &a), &ctx);
+        }
+        let n = a.len() as f64;
+        let pairs: f64 = a.iter().flat_map(|p| a.iter().map(|q| sq(p, q))).sum();
+        assert_close(ra.radius(), (scatter(&a) / n).sqrt(), "radius");
+        assert_close(ra.diameter(), (pairs / (n * (n - 1.0))).sqrt(), "diameter");
+        assert_eq!(reference(&a[..1]).diameter(), 0.0);
+        assert_eq!(Cf::empty(3).radius(), 0.0);
     }
 
     #[test]
-    fn subtract_inverts_merge() {
-        let a = Cf::from_points(&pts(&[[1.0, 2.0], [3.0, 4.0]]));
-        let b = Cf::from_points(&pts(&[[10.0, 10.0]]));
-        let mut m = a.merged(&b);
-        m.subtract(&b);
-        assert!((m.n() - a.n()).abs() < 1e-12);
-        assert!((m.ss() - a.ss()).abs() < 1e-9);
-        for (x, y) in m.ls().iter().zip(a.ls()) {
-            assert!((x - y).abs() < 1e-9);
+    fn agrees_with_stable_backend_near_the_origin() {
+        let clouds = [
+            points(&[&[0.5, 1.5], &[2.0, -3.0], &[4.25, 0.125]]),
+            points(&[&[-1.0, 2.5], &[3.0, 3.0]]),
+            points(&[&[7.0, -4.0]]),
+            points(&[&[0.1, 0.2], &[0.3, 0.4], &[0.5, 0.6], &[0.7, 0.8]]),
+        ];
+        let refs: Vec<Cf> = clouds.iter().map(|c| reference(c)).collect();
+        let stables: Vec<stable::Cf> = clouds.iter().map(stable::Cf::from_points).collect();
+        for (r, s) in refs.iter().zip(&stables) {
+            assert_close(r.radius(), s.radius(), "radius");
+            assert_close(r.diameter(), s.diameter(), "diameter");
+        }
+        for (i, (ri, si)) in refs.iter().zip(&stables).enumerate() {
+            for (rj, sj) in refs.iter().zip(&stables).skip(i + 1) {
+                for m in DistanceMetric::ALL {
+                    assert_close(ri.distance(m, rj), m.distance(si, sj), &m.to_string());
+                }
+            }
         }
     }
 
     #[test]
-    fn centroid_of_square() {
-        let cf = Cf::from_points(&pts(&[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]));
-        assert_eq!(cf.centroid().coords(), &[1.0, 1.0]);
-    }
-
-    #[test]
-    fn radius_of_unit_square_corners() {
-        // Four corners of a 2x2 square centred at (1,1): every point is at
-        // distance sqrt(2) from the centroid, so R = sqrt(2).
-        let cf = Cf::from_points(&pts(&[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]]));
-        assert!((cf.radius() - 2.0_f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diameter_of_point_pair() {
-        // Two points at distance 6: average pairwise distance = 6.
-        let cf = Cf::from_points(&pts(&[[0.0, 0.0], [6.0, 0.0]]));
-        assert!((cf.diameter() - 6.0).abs() < 1e-12);
-        // And radius is half of it.
-        assert!((cf.radius() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diameter_hand_computed_triangle() {
-        // Points (0,0), (2,0), (0,2): pairwise sq dists 4, 4, 8 -> mean over
-        // N(N-1)=6 *ordered* pairs = (2*(4+4+8))/6 = 16/3.
-        let cf = Cf::from_points(&pts(&[[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]));
-        assert!((cf.diameter() - (16.0_f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_point_equals_repeated_point() {
-        let p = Point::xy(2.0, -1.0);
-        let mut w = Cf::empty(2);
-        w.add_weighted_point(&p, 3.0);
-        let mut r = Cf::empty(2);
-        for _ in 0..3 {
-            r.add_point(&p);
+    fn radius_and_d4_collapse_at_large_offset() {
+        // Two tight clusters (dyadic spreads ~1e-3, so every coordinate is
+        // exact at offset 1e8) two units apart. Against the double-double
+        // truth of the realized points the reference loses the radius and
+        // D4 at offset 1e8; the stable form keeps both.
+        const Q: f64 = 4.882_812_5e-4; // 2⁻¹¹
+        let cloud = |base: f64| -> Vec<Point> {
+            (0..16u32)
+                .map(|i| Point::xy(base + f64::from(i % 5) * Q, base + f64::from(i % 3) * Q))
+                .collect()
+        };
+        let (a, b) = (cloud(1e8), cloud(1e8 + 2.0));
+        let (na, nb) = (a.len() as f64, b.len() as f64);
+        let mean_a = dd_mean(a.iter().map(Point::coords), 2);
+        let mean_b = dd_mean(b.iter().map(Point::coords), 2);
+        let sq_dev = dd_sq_deviation(a.iter().map(Point::coords), &mean_a);
+        let radius_truth = sq_dev.div_f64(na).to_f64().sqrt();
+        let mut dmu_sq = Dd::ZERO;
+        for (x, y) in mean_a.iter().zip(&mean_b) {
+            let d = *x - *y;
+            dmu_sq = dmu_sq + d * d;
         }
-        assert_eq!(w, r);
-    }
+        let d4_truth = dmu_sq.mul_f64(na * nb / (na + nb)).to_f64().sqrt();
+        let rel = |est: f64, truth: f64| (est - truth).abs() / truth;
 
-    #[test]
-    fn sq_deviation_never_negative_under_cancellation() {
-        // Identical far-away points: SS - |LS|^2/N cancels to ~0 and may go
-        // slightly negative in floating point; it must clamp.
-        let p = Point::xy(1e8, 1e8);
-        let mut cf = Cf::empty(2);
-        for _ in 0..1000 {
-            cf.add_point(&p);
-        }
-        assert!(cf.sq_deviation() >= 0.0);
-        assert!(cf.radius() >= 0.0);
-        assert!(cf.diameter() >= 0.0);
-    }
+        let (ra, rb) = (reference(&a), reference(&b));
+        assert!(rel(ra.radius(), radius_truth) >= 1e-2, "radius survived");
+        let d4 = ra.distance(DistanceMetric::D4, &rb);
+        assert!(rel(d4, d4_truth) >= 1e-2, "D4 survived");
 
-    #[test]
-    fn empty_cf_behaviour() {
-        let cf = Cf::empty(3);
-        assert!(cf.is_empty());
-        assert_eq!(cf.radius(), 0.0);
-        assert_eq!(cf.diameter(), 0.0);
-        assert_eq!(cf.sq_deviation(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "centroid of an empty CF")]
-    fn empty_centroid_panics() {
-        let _ = Cf::empty(2).centroid();
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn merge_dimension_mismatch_panics() {
-        let mut a = Cf::empty(2);
-        let b = Cf::empty(3);
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot subtract")]
-    fn oversubtraction_panics() {
-        let mut a = Cf::from_point(&Point::xy(0.0, 0.0));
-        let b = Cf::from_points(&pts(&[[0.0, 0.0], [1.0, 1.0]]));
-        a.subtract(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight must be positive")]
-    fn zero_weight_rejected() {
-        let mut cf = Cf::empty(2);
-        cf.add_weighted_point(&Point::xy(0.0, 0.0), 0.0);
-    }
-
-    #[test]
-    fn debug_format() {
-        let cf = Cf::from_point(&Point::xy(1.0, 2.0));
-        let s = format!("{cf:?}");
-        assert!(s.starts_with("CF(N=1.0"));
-    }
-
-    #[test]
-    fn words_round_trip_bit_identically() {
-        let mut cf = Cf::from_points(&pts(&[[1.25, -3.5], [0.1, 0.2], [7.0, 9.0]]));
-        cf.add_weighted_point(&Point::xy(-0.75, 2.5), 3.0);
-        let mut words = Vec::new();
-        cf.to_words(&mut words);
-        assert_eq!(words.len(), Cf::words_per_entry(2));
-        let back = Cf::from_words(&words, 2);
-        assert!(back == cf);
-        assert_eq!(back.ls_sq().to_bits(), cf.ls_sq().to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "word count mismatch")]
-    fn from_words_rejects_wrong_length() {
-        let _ = Cf::from_words(&[0; 3], 2);
-    }
-
-    #[test]
-    fn ls_sq_cache_is_bit_exact_across_mutations() {
-        let mut cf = Cf::empty(2);
-        assert_eq!(cf.ls_sq(), 0.0);
-        cf.add_point(&Point::xy(1.5, -2.25));
-        assert_eq!(cf.ls_sq().to_bits(), dot(cf.ls(), cf.ls()).to_bits());
-        cf.add_weighted_point(&Point::xy(0.3, 0.7), 2.5);
-        assert_eq!(cf.ls_sq().to_bits(), dot(cf.ls(), cf.ls()).to_bits());
-        let other = Cf::from_points(&pts(&[[4.0, 1.0], [-2.0, 3.0]]));
-        cf.merge(&other);
-        assert_eq!(cf.ls_sq().to_bits(), dot(cf.ls(), cf.ls()).to_bits());
-        cf.subtract(&other);
-        assert_eq!(cf.ls_sq().to_bits(), dot(cf.ls(), cf.ls()).to_bits());
-    }
-
-    #[test]
-    fn assign_point_matches_from_point_bitwise() {
-        let p = Point::xy(3.25, -7.5);
-        let mut scratch = Cf::from_point(&Point::xy(99.0, 99.0));
-        scratch.assign_point(&p);
-        let fresh = Cf::from_point(&p);
-        assert!(scratch == fresh);
-        assert_eq!(scratch.ls_sq().to_bits(), fresh.ls_sq().to_bits());
-
-        scratch.assign_weighted_point(&p, 2.0);
-        let fresh_w = Cf::from_weighted_point(&p, 2.0);
-        assert!(scratch == fresh_w);
-        assert_eq!(scratch.ls_sq().to_bits(), fresh_w.ls_sq().to_bits());
-    }
-
-    #[test]
-    fn subtract_to_empty_resets_ls_sq() {
-        let a = Cf::from_point(&Point::xy(5.0, 5.0));
-        let mut m = a.clone();
-        m.subtract(&a);
-        assert!(m.is_empty());
-        assert_eq!(m.ls_sq(), 0.0);
-    }
-
-    #[test]
-    fn subtract_snaps_near_zero_residual() {
-        // A residual weight of 1e-12 out of an original 1.0 is numerical
-        // dust, not a real cluster: it must snap to the true empty CF
-        // instead of surviving with leftover LS/SS and feeding
-        // divide-by-near-zero centroids downstream.
-        let p = Point::xy(1.0, 2.0);
-        let mut a = Cf::from_weighted_point(&p, 1.0);
-        let b = Cf::from_weighted_point(&p, 1.0 - 1e-12);
-        a.subtract(&b);
-        assert!(a.is_empty());
-        assert_eq!(a.n(), 0.0);
-        assert_eq!(a.ls(), &[0.0, 0.0]);
-        assert_eq!(a.ss(), 0.0);
-        assert_eq!(a.ls_sq(), 0.0);
-    }
-
-    #[test]
-    fn subtract_guard_tolerance_is_relative() {
-        // At N ~ 1e12, an excess of 1.0 is a relative error of 1e-12 —
-        // ordinary float dust from a merge/subtract chain. The old absolute
-        // `+ 1e-9` guard rejected it; the relative guard must subtract and
-        // snap the (tiny negative) residual to empty.
-        let p = Point::xy(1.0, 1.0);
-        let mut a = Cf::from_weighted_point(&p, 1e12);
-        let b = Cf::from_weighted_point(&p, 1e12 + 1.0);
-        a.subtract(&b);
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot subtract")]
-    fn subtract_guard_still_rejects_real_oversubtraction_at_scale() {
-        // A 1% excess at N ~ 1e12 is far beyond round-off and must still
-        // be rejected by the relative guard.
-        let p = Point::xy(1.0, 1.0);
-        let mut a = Cf::from_weighted_point(&p, 1e12);
-        let b = Cf::from_weighted_point(&p, 1.01e12);
-        a.subtract(&b);
+        let (sa, sb) = (stable::Cf::from_points(&a), stable::Cf::from_points(&b));
+        assert!(rel(sa.radius(), radius_truth) <= 1e-9);
+        assert!(rel(DistanceMetric::D4.distance(&sa, &sb), d4_truth) <= 1e-9);
     }
 }

@@ -1,5 +1,5 @@
-//! The Clustering Feature (CF) — the paper's central data structure, in
-//! two interchangeable numeric representations.
+//! The Clustering Feature (CF) — the paper's central data structure,
+//! stored in a numerically stable form.
 //!
 //! **Definition 4.1**: for a cluster of `N` `d`-dimensional points `{Xᵢ}`,
 //! `CF = (N, LS, SS)` where `LS = Σ Xᵢ` is the linear sum and `SS = Σ Xᵢ·Xᵢ`
@@ -17,37 +17,20 @@
 //! catastrophic cancellation. BETULA (Lang & Schubert, see PAPERS.md) fixes
 //! this by storing the translation-invariant form `(N, μ, SSE)` instead.
 //!
-//! Two backends implement the same surface:
+//! The tree stores BETULA's form: [`stable`] keeps `(N, μ, SSE)` with
+//! Neumaier-compensated mean and SSE accumulation, so every statistic is
+//! translation-invariant at any offset, and it is re-exported as [`Cf`].
+//! The accessor names are representation-neutral: `vec_stat` (μ),
+//! `scalar_stat` (SSE) and `vec_stat_sq` (the memoized `‖μ‖²`), which is
+//! what the SoA blocks and audits read.
 //!
-//! * [`classic`] — the paper's `(N, LS, SS)` with a memoized `‖LS‖²`.
-//!   Bit-compatible with every historical pin in this repository; subject
-//!   to the cancellation failure mode above.
-//! * [`stable`] — BETULA's `(N, μ, SSE)` with Neumaier-compensated mean
-//!   and SSE accumulation. Translation-invariant statistics at any offset.
-//!
-//! Both are always compiled (so diagnostics and benches can compare them
-//! in one binary); [`stable`] is re-exported as [`Cf`] by default and the
-//! `classic-cf` cargo feature selects [`classic`] instead (the `stable-cf`
-//! feature is a deprecated no-op from before the default flipped). The
-//! re-export is what drives the tree. Generic code uses
-//! the backend-agnostic accessor surface — `vec_stat` (LS or μ),
-//! `scalar_stat` (SS or SSE), `vec_stat_sq` (the memoized `‖·‖²`) — plus
-//! the shared constructors and algebra (`merge`/`merged`/`subtract`/
-//! `add_point`/…), which have identical signatures on both types.
+//! [`classic`] is not a backend. It is a small reference that evaluates
+//! the paper's formulas on `(N, LS, SS)` directly, so the stability bench
+//! and the tests can show the cancellation that the stable form removes.
 
 pub mod classic;
 pub mod stable;
 
-#[cfg(all(feature = "classic-cf", feature = "stable-cf"))]
-compile_error!(
-    "features `classic-cf` and `stable-cf` select opposite CF backends; \
-     enable at most one (`stable-cf` is a deprecated no-op — the stable \
-     backend is the default)"
-);
-
-#[cfg(feature = "classic-cf")]
-pub use classic::Cf;
-#[cfg(not(feature = "classic-cf"))]
 pub use stable::Cf;
 
 /// Relative dust threshold for [`Cf::subtract`]: a residual weight at or

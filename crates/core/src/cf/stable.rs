@@ -1,4 +1,4 @@
-//! The numerically stable CF backend: BETULA's `(N, μ, SSE)` form.
+//! The numerically stable CF: BETULA's `(N, μ, SSE)` form.
 //!
 //! The paper's `(N, LS, SS)` triple loses every quality-bearing statistic
 //! to catastrophic cancellation when clusters are tight relative to their
@@ -36,11 +36,10 @@
 //!           SSEa' = SSE − SSEb − (na'·nb/n)·‖μa' − μb‖²,  clamped ≥ 0
 //! ```
 //!
-//! The API mirrors [`classic`](crate::cf::classic) exactly — same
-//! constructors, algebra, statistics and backend-agnostic accessors
-//! (`vec_stat` = μ, `scalar_stat` = SSE, `vec_stat_sq` = memoized `‖μ‖²`,
-//! refreshed by exact recomputation under the same zero-drift contract as
-//! the classic `‖LS‖²` memo).
+//! Besides the constructors, algebra and statistics, the type exposes
+//! representation-neutral accessors (`vec_stat` = μ, `scalar_stat` =
+//! SSE, `vec_stat_sq` = memoized `‖μ‖²`, refreshed by exact
+//! recomputation so the memo never drifts from `dot(μ, μ)`).
 
 use crate::cf::N_DUST_REL;
 use crate::point::{dot, Point};
@@ -63,7 +62,7 @@ pub struct Cf {
     /// Compensation carry for `sse`.
     sse_c: f64,
     /// Memoized `‖μ‖² = dot(mean, mean)`, refreshed on every mutation of
-    /// `mean` by exact recomputation (same contract as classic `ls_sq`).
+    /// `mean` by exact recomputation, so it never drifts.
     mean_sq: f64,
 }
 
@@ -177,21 +176,19 @@ impl Cf {
         self.sse + self.sse_c
     }
 
-    /// Backend-agnostic vector statistic: the mean `μ` for this backend
-    /// (the linear sum `LS` for [`classic`](crate::cf::classic)).
+    /// Representation-neutral vector statistic: the mean `μ`.
     #[must_use]
     pub fn vec_stat(&self) -> &[f64] {
         &self.mean
     }
 
-    /// Backend-agnostic scalar statistic: the deviation sum `SSE` for this
-    /// backend (the square sum `SS` for [`classic`](crate::cf::classic)).
+    /// Representation-neutral scalar statistic: the deviation sum `SSE`.
     #[must_use]
     pub fn scalar_stat(&self) -> f64 {
         self.sse()
     }
 
-    /// Backend-agnostic memoized `‖vec_stat‖²`: `‖μ‖²` here. Bit-identical
+    /// Memoized `‖vec_stat‖² = ‖μ‖²`. Bit-identical
     /// to `dot(vec_stat, vec_stat)` by the exact-recomputation contract.
     #[must_use]
     pub fn vec_stat_sq(&self) -> f64 {
@@ -199,11 +196,8 @@ impl Cf {
     }
 
     /// Test-only corruption of the memoized norm, giving the auditor's
-    /// norm-cache check a deterministic failure to detect. Only the
-    /// feature-selected backend's helper is reachable from the audit
-    /// tests, so the other one is intentionally dead per build.
+    /// norm-cache check a deterministic failure to detect.
     #[cfg(test)]
-    #[allow(dead_code)]
     pub(crate) fn corrupt_norm_memo_for_test(&mut self, delta: f64) {
         self.mean_sq += delta;
     }
@@ -354,8 +348,15 @@ impl Cf {
 
     /// Removes a previously merged CF (inverse of [`Cf::merge`]) —
     /// BETULA's subtract rule, mean updated first so the scatter term uses
-    /// the recovered mean. Same relative weight guard and dust snapping as
-    /// the classic backend (see `classic::Cf::subtract`).
+    /// the recovered mean.
+    ///
+    /// The weight guard is *relative*: `other` may exceed `self` by up to
+    /// `N_DUST_REL · self.n` of round-off (a fixed absolute slack would
+    /// spuriously reject float dust at large `N` and wave through real
+    /// oversubtraction at tiny `N`). Any residual weight at or below
+    /// `N_DUST_REL` of the original is likewise dust and snaps to the true
+    /// empty CF, so no near-zero `N` survives to feed divide-by-near-zero
+    /// centroids.
     ///
     /// # Panics
     ///
@@ -567,8 +568,8 @@ mod tests {
     #[test]
     fn additivity_theorem_within_round_off() {
         // Merge vs direct construction walk different op orders, so the
-        // comparison is to round-off tolerance, not bitwise (the classic
-        // backend's raw sums are order-independent; means are not).
+        // comparison is to round-off tolerance, not bitwise (raw
+        // (N, LS, SS) sums are order-independent; means are not).
         let a = pts(&[[0.0, 0.0], [1.0, 1.0]]);
         let b = pts(&[[4.0, 0.0], [5.0, 5.0], [6.0, 2.0]]);
         let cf_a = Cf::from_points(&a);
@@ -642,7 +643,7 @@ mod tests {
     #[test]
     fn statistics_survive_large_offset() {
         // The motivating failure: a tight cluster (spread ~1e-3) at offset
-        // 1e8. The classic backend's radius collapses to 0 here; the
+        // 1e8. The paper's (N, LS, SS) radius collapses to 0 here; the
         // stable backend must agree with the same cloud at the origin to
         // ~1e-9 relative. Dyadic spreads (multiples of 2⁻¹¹ ≈ 4.9e-4) are
         // exact multiples of ulp(1e8) = 2⁻²⁶, so the shifted cloud is an
@@ -858,30 +859,5 @@ mod tests {
     #[should_panic(expected = "word count mismatch")]
     fn from_words_rejects_wrong_length() {
         let _ = Cf::from_words(&[0; 5], 2);
-    }
-
-    #[test]
-    fn agrees_with_classic_backend_when_well_conditioned() {
-        // On well-conditioned data the two backends must tell the same
-        // story to near round-off: same N, same centroid, and radius/
-        // diameter within 1e-12 relative.
-        use crate::cf::classic;
-        let raw = [
-            [0.5, 1.5],
-            [2.0, -3.0],
-            [4.25, 0.125],
-            [-1.0, 2.5],
-            [3.0, 3.0],
-        ];
-        let points = pts(&raw);
-        let s = Cf::from_points(&points);
-        let c = classic::Cf::from_points(&points);
-        assert_eq!(s.n(), c.n());
-        for (x, y) in s.centroid().iter().zip(c.centroid().iter()) {
-            assert!((x - y).abs() <= 1e-12 * (1.0 + y.abs()));
-        }
-        assert!((s.radius() - c.radius()).abs() <= 1e-12 * (1.0 + c.radius()));
-        assert!((s.diameter() - c.diameter()).abs() <= 1e-12 * (1.0 + c.diameter()));
-        assert!((s.sq_deviation() - c.sq_deviation()).abs() <= 1e-12 * (1.0 + c.sq_deviation()));
     }
 }

@@ -13,49 +13,38 @@
 //! * **D4** — variance-increase distance (eq. 8): the growth in total
 //!   squared deviation caused by merging.
 //!
-//! Two kernel families compute these, one per CF backend, and both are
-//! always compiled (the `classic-cf` feature only selects which one the
-//! pipeline routes through; the stable kernel is the default):
+//! [`stable_distance`] evaluates them in deviation form on the stored
+//! `(N, μ, SSE)` ([`StableView`]), with the compensated centroid
+//! difference `Δμᵢ = (μ₁ᵢ − μ₂ᵢ) + (c₁ᵢ − c₂ᵢ)` (the leading difference of
+//! nearby means is exact by Sterbenz's lemma, so the Neumaier carries `c`
+//! survive into the result):
 //!
-//! * [`classic_distance`] over [`ClassicView`] — the paper's closed forms
-//!   on `(N, LS, SS)`:
+//! ```text
+//! D0² = ‖Δμ‖²                 D1 = Σ|Δμᵢ|
+//! D2² = SSE₁/N₁ + SSE₂/N₂ + ‖Δμ‖²
+//! D3² = 2·SSEₘ/(N−1),  SSEₘ = SSE₁ + SSE₂ + (N₁N₂/N)·‖Δμ‖²
+//! D4² = (N₁N₂/N)·‖Δμ‖²
+//! ```
 //!
-//!   ```text
-//!   D2² = (N₂·SS₁ + N₁·SS₂ − 2·LS₁·LS₂) / (N₁·N₂)
-//!   D3² = (2N·SSₘ − 2‖LSₘ‖²) / (N(N−1)),  N = N₁+N₂, subscript m = merged
-//!   D4² = ‖LS₁‖²/N₁ + ‖LS₂‖²/N₂ − ‖LSₘ‖²/N
-//!   ```
+//! Every term is translation-invariant, so these stay accurate at any
+//! coordinate offset. The paper's closed forms on `(N, LS, SS)`, which
+//! are not, survive only as the test reference [`crate::cf::classic`].
 //!
-//!   (for D4, note `SSₘ = SS₁+SS₂` cancels out of the deviation
-//!   difference). These subtract large near-equal quantities, so they
-//!   inherit the classic backend's catastrophic cancellation far from the
-//!   origin.
+//! The batched [`CfBlock`] scans ([`pair_in_block`], [`closest_among`],
+//! [`closest_pair`], [`farthest_pair`]) run on the lane kernels of the
+//! private `simd` module. [`stable_distance`], [`distance_to_row`] and the
+//! `*_scalar` block forms evaluate the same metrics in serial order; they
+//! are the oracles the lane kernels are tested and audited against.
 //!
-//! * [`stable_distance`] over [`StableView`] — deviation forms on
-//!   `(N, μ, SSE)` with the compensated centroid difference
-//!   `Δμᵢ = (μ₁ᵢ − μ₂ᵢ) + (c₁ᵢ − c₂ᵢ)` (the leading difference of nearby
-//!   means is exact by Sterbenz's lemma, so the Neumaier carries `c`
-//!   survive into the result):
-//!
-//!   ```text
-//!   D0² = ‖Δμ‖²                 D1 = Σ|Δμᵢ|
-//!   D2² = SSE₁/N₁ + SSE₂/N₂ + ‖Δμ‖²
-//!   D3² = 2·SSEₘ/(N−1),  SSEₘ = SSE₁ + SSE₂ + (N₁N₂/N)·‖Δμ‖²
-//!   D4² = (N₁N₂/N)·‖Δμ‖²
-//!   ```
-//!
-//!   Every term is translation-invariant, so these stay accurate at any
-//!   coordinate offset.
-//!
-//! Both kernels share one contract for empty operands (`N ≤ 0`): they
-//! `debug_assert!` (catching the misuse in debug/test builds) and return
+//! The scalar and lane kernels share one contract for empty operands
+//! (`N ≤ 0`): they `debug_assert!` (catching the misuse in debug/test
+//! builds) and return
 //! `+∞` in release builds, so an empty row can never win a closest-entry
 //! scan via `NaN` poisoning. The higher-level [`DistanceMetric::distance`]
 //! keeps its hard panic: asking for the distance between empty *clusters*
 //! is a caller bug in every build.
 
 use crate::cf::Cf;
-use crate::point::dot;
 use std::fmt;
 use std::str::FromStr;
 
@@ -109,7 +98,7 @@ impl DistanceMetric {
             a.dim(),
             b.dim()
         );
-        active_kernel(self, &cf_view(a), &cf_view(b))
+        stable_distance(self, &StableView::of(a), &StableView::of(b))
     }
 
     /// Whether this metric is a *reducible* linkage: merging mutual
@@ -176,47 +165,17 @@ impl FromStr for DistanceMetric {
 }
 
 // ---------------------------------------------------------------------
-// Backend views and metric kernels.
+// The scalar metric kernel.
 //
-// Each kernel is a closed form over its view's fields: no centroid/merge
-// materialization, hence no allocation. These run once per child entry per
-// tree level for *every* insertion (the §6.1 CPU cost model's inner loop),
-// so the allocation-free forms matter. Both the scalar path
-// (`DistanceMetric::distance`) and the batched block path
-// (`distance_to_row` / `pair_in_block`) call the exact same kernel
-// function, so scalar and batched results are bit-identical by
-// construction.
+// A closed form over the view's fields: no centroid/merge
+// materialization, hence no allocation. `DistanceMetric::distance` and
+// the scalar block oracles (`distance_to_row`, `pair_in_block_scalar`)
+// call this same function on the same field values, so they agree bit
+// for bit by construction.
 // ---------------------------------------------------------------------
 
-/// A borrowed `(N, SS, ‖LS‖², LS)` view of a classic-backend CF (or a
-/// `CfBlock` row mirroring one).
-#[derive(Debug, Clone, Copy)]
-pub struct ClassicView<'a> {
-    /// Weighted point count `N`.
-    pub n: f64,
-    /// Scalar square sum `SS`.
-    pub ss: f64,
-    /// Memoized `‖LS‖²`.
-    pub ls_sq: f64,
-    /// Linear sum `LS`.
-    pub ls: &'a [f64],
-}
-
-impl<'a> ClassicView<'a> {
-    /// The view of a classic-backend CF.
-    #[must_use]
-    pub fn of(cf: &'a crate::cf::classic::Cf) -> Self {
-        ClassicView {
-            n: cf.n(),
-            ss: cf.scalar_stat(),
-            ls_sq: cf.vec_stat_sq(),
-            ls: cf.vec_stat(),
-        }
-    }
-}
-
-/// A borrowed `(N, SSE, μ, carry)` view of a stable-backend CF (or a
-/// `CfBlock` row mirroring one). `mean_c` holds the Neumaier compensation
+/// A borrowed `(N, SSE, μ, carry)` view of a CF (or of a `CfBlock` row
+/// mirroring one). `mean_c` holds the Neumaier compensation
 /// terms of the mean — the deviation kernels fold them into `Δμ` so
 /// distances keep ~1 ulp accuracy even at coordinate offsets where the
 /// raw mean difference rounds coarsely.
@@ -233,9 +192,9 @@ pub struct StableView<'a> {
 }
 
 impl<'a> StableView<'a> {
-    /// The view of a stable-backend CF.
+    /// The view of a CF.
     #[must_use]
-    pub fn of(cf: &'a crate::cf::stable::Cf) -> Self {
+    pub fn of(cf: &'a Cf) -> Self {
         StableView {
             n: cf.n(),
             sse: cf.scalar_stat(),
@@ -243,65 +202,19 @@ impl<'a> StableView<'a> {
             mean_c: cf.mean_carry(),
         }
     }
-}
 
-/// Distance between two classic-backend views: the paper's closed forms
-/// over `(N, LS, SS)`. Empty operands (`N ≤ 0`) debug-assert and return
-/// `+∞` in release builds (see the module docs).
-#[must_use]
-pub fn classic_distance(metric: DistanceMetric, a: &ClassicView<'_>, b: &ClassicView<'_>) -> f64 {
-    if a.n <= 0.0 || b.n <= 0.0 {
-        debug_assert!(false, "distance with an empty CF operand");
-        return f64::INFINITY;
-    }
-    let (na, nb) = (a.n, b.n);
-    match metric {
-        DistanceMetric::D0 => {
-            a.ls.iter()
-                .zip(b.ls)
-                .map(|(&x, &y)| {
-                    let d = x / na - y / nb;
-                    d * d
-                })
-                .sum::<f64>()
-                .sqrt()
-        }
-        DistanceMetric::D1 => {
-            a.ls.iter()
-                .zip(b.ls)
-                .map(|(&x, &y)| (x / na - y / nb).abs())
-                .sum()
-        }
-        DistanceMetric::D2 => {
-            let num = nb * a.ss + na * b.ss - 2.0 * dot(a.ls, b.ls);
-            (num.max(0.0) / (na * nb)).sqrt()
-        }
-        DistanceMetric::D3 => {
-            let n = na + nb;
-            if n <= 1.0 {
-                return 0.0; // fractional weights: merged "cluster" of ≤ one point
-            }
-            let ss = a.ss + b.ss;
-            // ‖LS_a + LS_b‖² without materializing the merged vector: the
-            // memoized self-norms are bit-identical to recomputing
-            // dot(ls, ls), so this is one dot product instead of three.
-            // Summed self-norms first so the result is bit-symmetric in
-            // (a, b) — the agglomerators evaluate pairs in either order.
-            let merged = (a.ls_sq + b.ls_sq) + 2.0 * dot(a.ls, b.ls);
-            let num = 2.0 * n * ss - 2.0 * merged;
-            (num.max(0.0) / (n * (n - 1.0))).sqrt()
-        }
-        DistanceMetric::D4 => {
-            let n = na + nb;
-            // Self-norms summed first: bit-symmetric in (a, b), as above.
-            let merged = (a.ls_sq + b.ls_sq) + 2.0 * dot(a.ls, b.ls);
-            let inc = a.ls_sq / na + b.ls_sq / nb - merged / n;
-            inc.max(0.0).sqrt()
+    /// The view of block row `i`.
+    fn row(block: &'a CfBlock, i: usize) -> Self {
+        StableView {
+            n: block.row_n(i),
+            sse: block.row_scalar(i),
+            mean: block.row_vec(i),
+            mean_c: block.row_vec_c(i),
         }
     }
 }
 
-/// Distance between two stable-backend views: translation-invariant
+/// Distance between two CF views: translation-invariant
 /// deviation forms over `(N, μ, SSE)` with the compensated centroid
 /// difference `Δμᵢ = (μ_aᵢ − μ_bᵢ) + (c_aᵢ − c_bᵢ)`. Empty operands
 /// (`N ≤ 0`) debug-assert and return `+∞` in release builds (see the
@@ -340,25 +253,6 @@ pub fn stable_distance(metric: DistanceMetric, a: &StableView<'_>, b: &StableVie
     }
 }
 
-// The feature-selected routing: which view/kernel pair the pipeline's
-// `Cf` alias maps onto. Both kernels stay compiled either way (the
-// stability bench compares them side by side in one binary).
-
-#[cfg(feature = "classic-cf")]
-use classic_distance as active_kernel;
-#[cfg(not(feature = "classic-cf"))]
-use stable_distance as active_kernel;
-
-#[cfg(feature = "classic-cf")]
-fn cf_view(cf: &Cf) -> ClassicView<'_> {
-    ClassicView::of(cf)
-}
-
-#[cfg(not(feature = "classic-cf"))]
-fn cf_view(cf: &Cf) -> StableView<'_> {
-    StableView::of(cf)
-}
-
 // ---------------------------------------------------------------------
 // Batched distance kernels over a flat SoA block of CFs.
 //
@@ -367,29 +261,27 @@ fn cf_view(cf: &Cf) -> StableView<'_> {
 // `Vec<Cf>` each call chases a separate `Box<[f64]>`. A `CfBlock` lays the
 // same entries out as one stride-padded vector slab plus parallel scalar
 // arrays, so the scan is a linear sweep over contiguous memory. The
-// scalar block path calls the same kernel function on the same field
-// values as `DistanceMetric::distance`, so it returns bit-identical
+// scalar block oracles call the same kernel function on the same field
+// values as `DistanceMetric::distance`, so they return bit-identical
 // distances (and therefore identical argmins, including tie order) by
-// construction; the lane path (stable+`simd` builds, `crate::simd`) is
+// construction; the production lane scans (`crate::simd`) are
 // bit-identical at dim ≤ 4 and within `SIMD_TOLERANCE_REL` above that.
 // ---------------------------------------------------------------------
 
 /// Lane width of the explicit-SIMD kernels (`f64x4`), and therefore the
-/// row-stride granule of [`CfBlock`]'s vector slabs on the stable backend.
+/// row-stride granule of [`CfBlock`]'s vector slabs.
 pub const LANE_WIDTH: usize = 4;
 
-/// A flat, cache-resident mirror of a sequence of CFs: one stride-padded
-/// vector slab (μ by default plus its carry slab, or `LS` under
-/// `classic-cf`) and parallel `(N, scalar stat, ‖vec‖²)` arrays.
+/// A flat, cache-resident mirror of a sequence of CFs: stride-padded
+/// slabs of the means μ and their carries, and parallel
+/// `(N, SSE, ‖μ‖²)` arrays.
 ///
-/// On the stable backend each vector row occupies [`CfBlock::stride`]
-/// slots — `dim` live coordinates followed by zero padding up to the next
-/// multiple of [`LANE_WIDTH`] — so the lane kernels can sweep row pairs in
-/// full lanes with no scalar tail (zero padding contributes exactly `0`
-/// to every deviation sum). Classic builds keep `stride == dim`: the
-/// classic kernels are scalar-only and their memory layout predates the
-/// padding. The row accessors always return exactly `dim` coordinates, so
-/// the padding is invisible outside the lane kernels.
+/// Each vector row occupies [`CfBlock::stride`] slots — `dim` live
+/// coordinates followed by zero padding up to the next multiple of
+/// [`LANE_WIDTH`] — so the lane kernels can sweep row pairs in full lanes
+/// with no scalar tail (zero padding contributes exactly `0` to every
+/// deviation sum). The row accessors always return exactly `dim`
+/// coordinates, so the padding is invisible outside the lane kernels.
 ///
 /// The dimensionality is fixed lazily by the first row pushed, so an empty
 /// block is dimension-agnostic (a fresh tree node can own one before any
@@ -400,17 +292,16 @@ pub struct CfBlock {
     dim: usize,
     /// Per-row weighted point count `N`.
     n: Vec<f64>,
-    /// Per-row scalar statistic: `SS` (classic) or folded `SSE` (stable).
+    /// Per-row scalar statistic: the folded `SSE`.
     scalar: Vec<f64>,
     /// Per-row memoized squared norm of the vector statistic (copied from
     /// [`Cf::vec_stat_sq`]).
     vec_sq: Vec<f64>,
-    /// Row-major vector-statistic slab: row `i` occupies
-    /// `vec[i*dim .. (i+1)*dim]`. `LS` (classic) or μ (stable).
+    /// Row-major mean slab: row `i` occupies
+    /// `vec[i*stride .. i*stride + dim]`, zero-padded to the stride.
     vec: Vec<f64>,
     /// Row-major Neumaier carry slab for the mean (same striding as
     /// `vec`) — the deviation kernels need it for the compensated Δμ.
-    #[cfg(not(feature = "classic-cf"))]
     vec_c: Vec<f64>,
 }
 
@@ -450,18 +341,10 @@ impl CfBlock {
     }
 
     /// Slots per row in the `vec`/`vec_c` slabs: `dim` rounded up to a
-    /// multiple of [`LANE_WIDTH`] on the stable backend (the padding is
-    /// zero-filled), exactly `dim` under `classic-cf`.
+    /// multiple of [`LANE_WIDTH`] (the padding is zero-filled).
     #[must_use]
     pub fn stride(&self) -> usize {
-        #[cfg(feature = "classic-cf")]
-        {
-            self.dim
-        }
-        #[cfg(not(feature = "classic-cf"))]
-        {
-            self.dim.next_multiple_of(LANE_WIDTH)
-        }
+        self.dim.next_multiple_of(LANE_WIDTH)
     }
 
     /// Heap bytes held by the block's slabs — *capacity*, not length,
@@ -469,15 +352,11 @@ impl CfBlock {
     /// gauge's `cf_blocks` component ([`crate::obs::mem`]).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        #[cfg_attr(feature = "classic-cf", allow(unused_mut))]
-        let mut slots = self.n.capacity()
+        let slots = self.n.capacity()
             + self.scalar.capacity()
             + self.vec_sq.capacity()
-            + self.vec.capacity();
-        #[cfg(not(feature = "classic-cf"))]
-        {
-            slots += self.vec_c.capacity();
-        }
+            + self.vec.capacity()
+            + self.vec_c.capacity();
         slots * std::mem::size_of::<f64>()
     }
 
@@ -505,11 +384,8 @@ impl CfBlock {
         let padded = self.n.len() * self.stride();
         self.vec.extend_from_slice(cf.vec_stat());
         self.vec.resize(padded, 0.0);
-        #[cfg(not(feature = "classic-cf"))]
-        {
-            self.vec_c.extend_from_slice(cf.mean_carry());
-            self.vec_c.resize(padded, 0.0);
-        }
+        self.vec_c.extend_from_slice(cf.mean_carry());
+        self.vec_c.resize(padded, 0.0);
     }
 
     /// Overwrites row `i` with `cf`.
@@ -524,7 +400,6 @@ impl CfBlock {
         self.vec_sq[i] = cf.vec_stat_sq();
         let s = self.stride();
         self.vec[i * s..i * s + self.dim].copy_from_slice(cf.vec_stat());
-        #[cfg(not(feature = "classic-cf"))]
         self.vec_c[i * s..i * s + self.dim].copy_from_slice(cf.mean_carry());
     }
 
@@ -544,7 +419,6 @@ impl CfBlock {
             i * s..i * s,
             cf.vec_stat().iter().copied().chain(pad.clone()),
         );
-        #[cfg(not(feature = "classic-cf"))]
         self.vec_c
             .splice(i * s..i * s, cf.mean_carry().iter().copied().chain(pad));
     }
@@ -560,7 +434,6 @@ impl CfBlock {
         self.vec_sq.remove(i);
         let s = self.stride();
         self.vec.drain(i * s..(i + 1) * s);
-        #[cfg(not(feature = "classic-cf"))]
         self.vec_c.drain(i * s..(i + 1) * s);
     }
 
@@ -570,7 +443,6 @@ impl CfBlock {
         self.scalar.clear();
         self.vec_sq.clear();
         self.vec.clear();
-        #[cfg(not(feature = "classic-cf"))]
         self.vec_c.clear();
     }
 
@@ -580,8 +452,7 @@ impl CfBlock {
         self.n[i]
     }
 
-    /// Row `i`'s scalar statistic: `SS` (classic) or folded `SSE`
-    /// (stable).
+    /// Row `i`'s scalar statistic: the folded `SSE`.
     #[must_use]
     pub fn row_scalar(&self, i: usize) -> f64 {
         self.scalar[i]
@@ -593,8 +464,8 @@ impl CfBlock {
         self.vec_sq[i]
     }
 
-    /// Row `i`'s vector-statistic slice inside the slab: μ (stable) or
-    /// `LS` (classic). Exactly `dim` coordinates — padding excluded.
+    /// Row `i`'s mean slice inside the slab. Exactly `dim` coordinates —
+    /// padding excluded.
     #[must_use]
     pub fn row_vec(&self, i: usize) -> &[f64] {
         let s = self.stride();
@@ -603,7 +474,6 @@ impl CfBlock {
 
     /// Row `i`'s mean-carry slice inside the carry slab. Exactly `dim`
     /// coordinates — padding excluded.
-    #[cfg(not(feature = "classic-cf"))]
     #[must_use]
     pub fn row_vec_c(&self, i: usize) -> &[f64] {
         let s = self.stride();
@@ -611,47 +481,23 @@ impl CfBlock {
     }
 
     /// The full vector slab including padding, for the lane kernels.
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
     pub(crate) fn vec_slab(&self) -> &[f64] {
         &self.vec
     }
 
     /// The full mean-carry slab including padding, for the lane kernels.
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
     pub(crate) fn vec_c_slab(&self) -> &[f64] {
         &self.vec_c
     }
 
     /// The per-row `N` slab, for the lane kernels.
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
     pub(crate) fn n_slab(&self) -> &[f64] {
         &self.n
     }
 
     /// The per-row scalar-statistic (`SSE`) slab, for the lane kernels.
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
     pub(crate) fn scalar_slab(&self) -> &[f64] {
         &self.scalar
-    }
-}
-
-#[cfg(feature = "classic-cf")]
-fn row_view(block: &CfBlock, i: usize) -> ClassicView<'_> {
-    ClassicView {
-        n: block.row_n(i),
-        ss: block.row_scalar(i),
-        ls_sq: block.row_vec_sq(i),
-        ls: block.row_vec(i),
-    }
-}
-
-#[cfg(not(feature = "classic-cf"))]
-fn row_view(block: &CfBlock, i: usize) -> StableView<'_> {
-    StableView {
-        n: block.row_n(i),
-        sse: block.row_scalar(i),
-        mean: block.row_vec(i),
-        mean_c: block.row_vec_c(i),
     }
 }
 
@@ -672,30 +518,10 @@ pub fn distance_to_row(metric: DistanceMetric, a: &Cf, block: &CfBlock, i: usize
         a.dim(),
         block.dim()
     );
-    active_kernel(metric, &cf_view(a), &row_view(block, i))
+    stable_distance(metric, &StableView::of(a), &StableView::row(block, i))
 }
 
-// ---------------------------------------------------------------------
-// Kernel routing: every batch scan exists in a scalar form (the oracle —
-// bit-identical to `DistanceMetric::distance` by construction) and, on
-// the default stable+`simd` build, a lane form in `crate::simd`. The
-// production names (`pair_in_block`, `closest_among`, …) route to the
-// lane kernels when they are compiled in and to the scalar forms
-// otherwise. Lane and scalar results agree bit-for-bit at dim ≤ 4 (the
-// small-dim specializations keep scalar accumulation order) and within
-// [`SIMD_TOLERANCE_REL`] above that (lane reduction reorders the sums).
-// ---------------------------------------------------------------------
-
-/// Which batched kernel family the production scans route through:
-/// `"lane"` on stable+`simd` builds, `"scalar"` otherwise. Recorded in
-/// the bench JSON so `bench_gate` baselines name the path they measured.
-#[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-pub const KERNEL_KIND: &str = "lane";
-/// Which batched kernel family the production scans route through:
-/// `"lane"` on stable+`simd` builds, `"scalar"` otherwise. Recorded in
-/// the bench JSON so `bench_gate` baselines name the path they measured.
-#[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-pub const KERNEL_KIND: &str = "scalar";
+pub use crate::simd::{closest_among, closest_pair, farthest_pair, pair_in_block};
 
 /// Per-call tolerance contract of the lane kernels: for dims above the
 /// serial-order specializations a lane-computed distance `d_l` and its
@@ -716,28 +542,11 @@ pub const SIMD_TOLERANCE_REL: f64 = 1e-12;
 #[must_use]
 #[inline]
 pub fn pair_in_block_scalar(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
-    active_kernel(metric, &row_view(block, i), &row_view(block, j))
-}
-
-/// Distance between block rows `i` and `j` — the production form:
-/// lane-computed on stable+`simd` builds (within [`SIMD_TOLERANCE_REL`]
-/// of [`pair_in_block_scalar`], bit-identical at dim ≤ 4), scalar
-/// otherwise.
-///
-/// # Panics
-///
-/// Panics if either index is out of range.
-#[must_use]
-#[inline]
-pub fn pair_in_block(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::pair_in_block(metric, block, i, j)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        pair_in_block_scalar(metric, block, i, j)
-    }
+    stable_distance(
+        metric,
+        &StableView::row(block, i),
+        &StableView::row(block, j),
+    )
 }
 
 /// Scalar form of [`closest_among`]: first-minimum via
@@ -750,24 +559,9 @@ pub fn closest_among_scalar(
     ent: &Cf,
     block: &CfBlock,
 ) -> Option<(usize, f64)> {
-    closest_among_where_scalar(metric, ent, block, |_, _| true)
-}
-
-/// The scalar first-minimum scan with a per-row veto: `keep(i, best_d)`
-/// is asked before row `i` is evaluated, with the best distance so far.
-#[inline]
-fn closest_among_where_scalar(
-    metric: DistanceMetric,
-    ent: &Cf,
-    block: &CfBlock,
-    mut keep: impl FnMut(usize, f64) -> bool,
-) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     let mut best_d = f64::INFINITY;
     for i in 0..block.len() {
-        if !keep(i, best_d) {
-            continue;
-        }
         let d = distance_to_row(metric, ent, block, i);
         if d < best_d {
             best_d = d;
@@ -777,110 +571,22 @@ fn closest_among_where_scalar(
     best
 }
 
-/// The production first-minimum scan with a per-row veto — the one scan
-/// behind both [`closest_among`] and [`closest_among_pruned`], so
-/// prune-on and prune-off descents see identical distances. Routes
-/// through the per-(dim, metric) lane scans on stable+`simd` builds.
-#[inline]
-fn closest_among_where(
-    metric: DistanceMetric,
-    ent: &Cf,
-    block: &CfBlock,
-    keep: impl FnMut(usize, f64) -> bool,
-) -> Option<(usize, f64)> {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::closest_among_where(metric, ent, block, keep)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        closest_among_where_scalar(metric, ent, block, keep)
-    }
-}
-
-/// First-minimum closest row to `ent`: the batched form of the descent
-/// scan (`best` starts at `+∞`, strictly-smaller wins, so the earliest of
-/// tied rows is kept — the same tie-break as `CfTree::descend` and
-/// `CfTree::closest_leaf_entry`). Returns `None` on an empty block.
-/// Routes through the lane kernels on stable+`simd` builds.
-#[must_use]
-#[inline]
-pub fn closest_among(metric: DistanceMetric, ent: &Cf, block: &CfBlock) -> Option<(usize, f64)> {
-    closest_among_where(metric, ent, block, |_, _| true)
-}
-
-/// Conservative slack of the stable-backend D0 prune bound, relative to
-/// the *sum* of the two centroid norms being compared.
+/// Conservative slack of the centroid-norm lower bound
+/// `D0(a, b) ≥ |‖μ_a‖ − ‖μ_b‖|` behind [`pair_lower_bound`] and the
+/// Phase 4 nearest-centroid scan, relative to the *sum* of the two norms
+/// being compared.
 ///
-/// The stable backend's cached `‖μ‖²` ignores the Neumaier carries that
-/// the distances fold in, and the lane kernels reorder sums, so the
-/// computed bound `|‖μ_a‖ − ‖μ_b‖|` can sit above the true D0 by a few
-/// ulps *of the norms* (not of their difference). Every contributing
-/// error is relative to the norms themselves — carry magnitude ≤ 2⁻⁵²‖μ‖,
+/// The cached `‖μ‖²` ignores the Neumaier carries that the distances
+/// fold in, and the lane kernels reorder sums, so the computed bound
+/// `|‖μ_a‖ − ‖μ_b‖|` can sit above the true D0 by a few ulps *of the
+/// norms* (not of their difference). Every contributing error is
+/// relative to the norms themselves — carry magnitude ≤ 2⁻⁵²‖μ‖,
 /// dot-product and `sqrt` rounding O(dim·ε)‖μ‖, lane reordering within
 /// [`SIMD_TOLERANCE_REL`] — totalling ≲ 3e-14·(‖μ_a‖+‖μ_b‖) at dim ≤ 128.
 /// Subtracting `D0_PRUNE_SLACK_REL · (‖μ_a‖+‖μ_b‖)` therefore makes the
-/// bound a true lower bound with ≥ 30× margin, preserving the
-/// exact-selection guarantee: a pruned row provably cannot win the
-/// strict-`<` comparison.
+/// bound a true lower bound with ≥ 30× margin, so a pruned candidate
+/// provably cannot win a strict-`<` comparison.
 pub const D0_PRUNE_SLACK_REL: f64 = 1e-12;
-
-/// [`closest_among`] with the D0 triangle-inequality lower-bound prune.
-///
-/// For D0 (centroid Euclidean distance) the reverse triangle inequality
-/// gives `D0(a, b) ≥ |‖c_a‖ − ‖c_b‖|`, and each centroid norm is O(1)
-/// from the cached squared norms. A row whose lower bound strictly
-/// exceeds the best distance so far cannot win the strict `<` comparison,
-/// so skipping it provably never changes the selected index (tie order
-/// included). Non-D0 metrics fall back to the plain scan.
-///
-/// On the classic backend the cached-norm bound is exact (the memo is
-/// refreshed by exact recomputation), so no slack is needed. On the
-/// stable backend the bound is widened by [`D0_PRUNE_SLACK_REL`] to
-/// absorb the carry/rounding mismatch between the uncompensated cached
-/// norms and the compensated (and possibly lane-reordered) distances —
-/// conservative, so selection safety is preserved at the cost of a few
-/// un-pruned borderline rows.
-///
-/// Returns `(best, evaluated, pruned)`: the winning `(index, distance)`,
-/// how many full distance evaluations ran, and how many rows the bound
-/// skipped.
-#[must_use]
-pub fn closest_among_pruned(
-    metric: DistanceMetric,
-    ent: &Cf,
-    block: &CfBlock,
-) -> (Option<(usize, f64)>, u64, u64) {
-    if metric != DistanceMetric::D0 {
-        let best = closest_among(metric, ent, block);
-        return (best, block.len() as u64, 0);
-    }
-    // Centroid norms from the cached squared vector-statistic norms: the
-    // vector statistic is LS on the classic backend (divide by N for the
-    // centroid) and μ itself on the stable one.
-    #[cfg(feature = "classic-cf")]
-    let centroid_norm = |sq: f64, n: f64| sq.sqrt() / n;
-    #[cfg(not(feature = "classic-cf"))]
-    let centroid_norm = |sq: f64, _n: f64| sq.sqrt();
-    let ent_norm = centroid_norm(ent.vec_stat_sq(), ent.n());
-    let mut evaluated = 0u64;
-    let mut pruned = 0u64;
-    let best = closest_among_where(metric, ent, block, |i, best_d| {
-        let row_norm = centroid_norm(block.row_vec_sq(i), block.row_n(i));
-        #[cfg(feature = "classic-cf")]
-        let bound = (ent_norm - row_norm).abs();
-        #[cfg(not(feature = "classic-cf"))]
-        let bound = (ent_norm - row_norm).abs() - D0_PRUNE_SLACK_REL * (ent_norm + row_norm);
-        if bound > best_d {
-            pruned += 1;
-            false
-        } else {
-            evaluated += 1;
-            true
-        }
-    });
-    (best, evaluated, pruned)
-}
 
 /// Cheap lower bound on `pair_in_block(metric, block, i, j)` computed
 /// from the rows' cached summary statistics alone — no vector sweep.
@@ -890,8 +596,8 @@ pub fn closest_among_pruned(
 /// the best distance found so far provably cannot win a strict-`<`
 /// nearest-neighbor scan, so the O(dim) kernel call is skipped.
 ///
-/// Derivation (stable backend, where the cached triple per row is
-/// `(N, SSE, ‖μ‖²)`): the reverse triangle inequality gives
+/// Derivation (the cached triple per row is `(N, SSE, ‖μ‖²)`): the
+/// reverse triangle inequality gives
 /// `‖Δμ‖ ≥ |‖μ_a‖ − ‖μ_b‖|`; widening by [`D0_PRUNE_SLACK_REL`] ·
 /// `(‖μ_a‖+‖μ_b‖)` (the PR-4 slack argument: cached norms ignore the
 /// Neumaier carries the kernels fold in, and lane kernels reorder sums,
@@ -909,59 +615,34 @@ pub fn closest_among_pruned(
 /// assembly round-off, keeping `bound ≤ distance` a hard invariant (the
 /// auditor re-checks it on every node; see `crate::audit`).
 ///
-/// Classic backend: only the D0/D1 centroid-norm bound is available —
-/// `SSE = SS − ‖LS‖²/N` suffers exactly the catastrophic cancellation
-/// that motivated the stable backend, so a cached-stat reconstruction
-/// of the D2/D3/D4 deviation terms cannot be trusted as a *lower*
-/// bound; those metrics return 0.0 (never prunes) there. The D0/D1
-/// bound gets the same relative slack as the stable path: the cached
-/// `‖LS‖²` is one rounding sequence and the kernel's coordinate-wise
-/// `Σ(Δc)²` another, so the two can disagree by a few ulps even in
-/// exact arithmetic's favor — observed live as a 1-ulp overshoot that
-/// tripped the audit's `bound ≤ distance` invariant.
-///
 /// # Panics
 ///
 /// Panics if either index is out of range.
 #[must_use]
 pub fn pair_lower_bound(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
     let (na, nb) = (block.row_n(i), block.row_n(j));
-    #[cfg(feature = "classic-cf")]
-    {
-        match metric {
-            DistanceMetric::D0 | DistanceMetric::D1 => {
-                let ca = block.row_vec_sq(i).sqrt() / na;
-                let cb = block.row_vec_sq(j).sqrt() / nb;
-                ((ca - cb).abs() - D0_PRUNE_SLACK_REL * (ca + cb)).max(0.0)
-            }
-            _ => 0.0,
+    let ma = block.row_vec_sq(i).sqrt();
+    let mb = block.row_vec_sq(j).sqrt();
+    let d0b = ((ma - mb).abs() - D0_PRUNE_SLACK_REL * (ma + mb)).max(0.0);
+    let shave = 1.0 - D0_PRUNE_SLACK_REL;
+    match metric {
+        DistanceMetric::D0 | DistanceMetric::D1 => d0b,
+        DistanceMetric::D2 => {
+            let (sa, sb) = (block.row_scalar(i), block.row_scalar(j));
+            (sa / na + sb / nb + d0b * d0b).max(0.0).sqrt() * shave
         }
-    }
-    #[cfg(not(feature = "classic-cf"))]
-    {
-        let ma = block.row_vec_sq(i).sqrt();
-        let mb = block.row_vec_sq(j).sqrt();
-        let d0b = ((ma - mb).abs() - D0_PRUNE_SLACK_REL * (ma + mb)).max(0.0);
-        let shave = 1.0 - D0_PRUNE_SLACK_REL;
-        match metric {
-            DistanceMetric::D0 | DistanceMetric::D1 => d0b,
-            DistanceMetric::D2 => {
-                let (sa, sb) = (block.row_scalar(i), block.row_scalar(j));
-                (sa / na + sb / nb + d0b * d0b).max(0.0).sqrt() * shave
+        DistanceMetric::D3 => {
+            let n = na + nb;
+            if n <= 1.0 {
+                return 0.0;
             }
-            DistanceMetric::D3 => {
-                let n = na + nb;
-                if n <= 1.0 {
-                    return 0.0;
-                }
-                let (sa, sb) = (block.row_scalar(i), block.row_scalar(j));
-                let sse_m = sa + sb + (na * nb / n) * (d0b * d0b);
-                (2.0 * sse_m / (n - 1.0)).max(0.0).sqrt() * shave
-            }
-            DistanceMetric::D4 => {
-                let n = na + nb;
-                ((na * nb / n) * (d0b * d0b)).max(0.0).sqrt() * shave
-            }
+            let (sa, sb) = (block.row_scalar(i), block.row_scalar(j));
+            let sse_m = sa + sb + (na * nb / n) * (d0b * d0b);
+            (2.0 * sse_m / (n - 1.0)).max(0.0).sqrt() * shave
+        }
+        DistanceMetric::D4 => {
+            let n = na + nb;
+            ((na * nb / n) * (d0b * d0b)).max(0.0).sqrt() * shave
         }
     }
 }
@@ -981,23 +662,6 @@ pub fn closest_pair_scalar(metric: DistanceMetric, block: &CfBlock) -> Option<(u
         }
     }
     best
-}
-
-/// First-minimum closest pair among the block's rows (`i < j`, earliest
-/// pair wins ties) — the batched form of the §4.3 merging-refinement scan.
-/// Returns `None` when the block has fewer than two rows. Routes through
-/// the lane kernels on stable+`simd` builds.
-#[must_use]
-#[inline]
-pub fn closest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::closest_pair(metric, block)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        closest_pair_scalar(metric, block)
-    }
 }
 
 /// Scalar form of [`farthest_pair`] — every pair distance bit-identical
@@ -1022,24 +686,6 @@ pub fn farthest_pair_scalar(
         }
     }
     Some((far.0, far.1, far_d))
-}
-
-/// First-maximum farthest pair among the block's rows (`i < j`, earliest
-/// pair wins ties) — the batched form of the split seeding scan (§4.2:
-/// "the farthest pair of entries"). Returns `None` when the block has
-/// fewer than two rows. Routes through the lane kernels on stable+`simd`
-/// builds.
-#[must_use]
-#[inline]
-pub fn farthest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
-    {
-        crate::simd::farthest_pair(metric, block)
-    }
-    #[cfg(not(all(feature = "simd", not(feature = "classic-cf"))))]
-    {
-        farthest_pair_scalar(metric, block)
-    }
 }
 
 /// What cluster statistic the CF-tree threshold `T` constrains (§4.2: the
@@ -1235,7 +881,6 @@ mod tests {
             assert_eq!(b.row_scalar(i), cf.scalar_stat());
             assert_eq!(b.row_vec_sq(i).to_bits(), cf.vec_stat_sq().to_bits());
             assert_eq!(b.row_vec(i), cf.vec_stat());
-            #[cfg(not(feature = "classic-cf"))]
             assert_eq!(b.row_vec_c(i), cf.mean_carry());
         }
     }
@@ -1313,64 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn pruned_scan_picks_identical_winner_and_counts() {
-        // Rows with widely spread centroid norms so the D0 bound prunes.
-        let rows: Vec<Cf> = (0..40)
-            .map(|i| {
-                let x = f64::from(i) * 25.0;
-                cf_of(&[[x, x * 0.5]])
-            })
-            .collect();
-        let b = CfBlock::from_cfs(&rows);
-        let probe = cf_of(&[[26.0, 12.0]]);
-        let plain = closest_among(DistanceMetric::D0, &probe, &b);
-        let (pruned_best, evaluated, pruned) = closest_among_pruned(DistanceMetric::D0, &probe, &b);
-        assert_eq!(plain.map(|(i, _)| i), pruned_best.map(|(i, _)| i));
-        assert_eq!(
-            plain.map(|(_, d)| d.to_bits()),
-            pruned_best.map(|(_, d)| d.to_bits())
-        );
-        assert!(pruned > 0, "spread norms must prune something");
-        assert_eq!(evaluated + pruned, rows.len() as u64);
-        // Non-D0 metrics fall back to the plain scan, nothing pruned.
-        let (_, ev2, pr2) = closest_among_pruned(DistanceMetric::D2, &probe, &b);
-        assert_eq!((ev2, pr2), (rows.len() as u64, 0));
-    }
-
-    #[cfg(not(feature = "classic-cf"))]
-    #[test]
-    fn stable_prune_bound_is_conservative_near_the_boundary() {
-        // Rows whose centroid norms equal the probe's exactly sit *on*
-        // the prune boundary once a very close best (d = 1e-9) is held:
-        // their exact norm-difference bound is 0 and the slack pushes it
-        // negative, so the conservative bound must refuse to prune them
-        // even though they are far away in actual distance. A wrong-sign
-        // slack (or a bound computed on drifted cached norms) would
-        // prune them here. Far rows with large norm gaps still prune.
-        let probe = cf_of(&[[30.0, 0.0]]);
-        let mut rows: Vec<Cf> = vec![
-            cf_of(&[[30.0 + 1e-9, 0.0]]), // true winner, evaluated first
-            cf_of(&[[0.0, 30.0]]),        // ‖μ‖ = 30 exactly: bound ≤ 0, must evaluate
-            cf_of(&[[-30.0, 0.0]]),       // same norm from the other side
-        ];
-        rows.extend((1..30).map(|i| {
-            let x = f64::from(i) * 500.0;
-            cf_of(&[[x, x]])
-        }));
-        let b = CfBlock::from_cfs(&rows);
-        let plain = closest_among(DistanceMetric::D0, &probe, &b);
-        let (best, evaluated, pruned) = closest_among_pruned(DistanceMetric::D0, &probe, &b);
-        assert_eq!(plain.map(|(i, _)| i), best.map(|(i, _)| i));
-        assert_eq!(
-            plain.map(|(_, d)| d.to_bits()),
-            best.map(|(_, d)| d.to_bits())
-        );
-        assert!(pruned > 0, "far rows must prune");
-        assert!(evaluated >= 3, "equal-norm rows must not prune");
-        assert_eq!(evaluated + pruned, rows.len() as u64);
-    }
-
-    #[test]
     fn pair_in_block_is_bit_symmetric() {
         // The agglomerators evaluate the same pair from either side (the
         // chain from its tip, the heap in index order); bit-identical
@@ -1398,7 +985,7 @@ mod tests {
     #[test]
     fn pair_lower_bound_is_sound_for_all_metrics() {
         // The NN-chain prune contract: bound ≤ true distance, on every
-        // pair, every metric, both backends — including weighted CFs,
+        // pair, every metric — including weighted CFs,
         // tight co-located clusters, and mirrored-norm pairs where the
         // norm-difference term collapses to zero.
         let rows: Vec<Cf> = vec![
@@ -1429,16 +1016,12 @@ mod tests {
     #[test]
     fn pair_lower_bound_bites_on_separated_rows() {
         // A bound that is always 0 would be sound but useless: for rows
-        // with well-separated centroid norms it must go positive — D0/D1
-        // on both backends, the derived D2/D3/D4 forms on the stable one.
+        // with well-separated centroid norms it must go positive under
+        // every metric.
         let a = cf_of(&[[1.0, 0.0], [1.2, 0.1]]);
         let z = cf_of(&[[800.0, 600.0], [800.4, 600.2]]);
         let b = CfBlock::from_cfs([&a, &z]);
-        for m in [DistanceMetric::D0, DistanceMetric::D1] {
-            assert!(pair_lower_bound(m, &b, 0, 1) > 0.0, "{m}");
-        }
-        #[cfg(not(feature = "classic-cf"))]
-        for m in [DistanceMetric::D2, DistanceMetric::D3, DistanceMetric::D4] {
+        for m in DistanceMetric::ALL {
             assert!(pair_lower_bound(m, &b, 0, 1) > 0.0, "{m}");
         }
     }
@@ -1475,24 +1058,12 @@ mod tests {
         assert!(closest_pair(DistanceMetric::D0, &CfBlock::new()).is_none());
     }
 
-    /// Exercises the shared empty-operand contract of both kernels for
-    /// one metric: debug builds panic on the debug assert, release builds
+    /// Exercises the empty-operand contract of the scalar kernel for one
+    /// metric: debug builds panic on the debug assert, release builds
     /// return `+∞` (never `NaN`, which would poison `closest_among`).
     fn empty_operand_check(metric: DistanceMetric) {
         let ls = [1.0, 2.0];
         let zeros = [0.0, 0.0];
-        let full_c = ClassicView {
-            n: 1.0,
-            ss: 5.0,
-            ls_sq: 5.0,
-            ls: &ls,
-        };
-        let empty_c = ClassicView {
-            n: 0.0,
-            ss: 0.0,
-            ls_sq: 0.0,
-            ls: &zeros,
-        };
         let full_s = StableView {
             n: 1.0,
             sse: 0.0,
@@ -1509,9 +1080,7 @@ mod tests {
         {
             use std::panic::{catch_unwind, AssertUnwindSafe};
             for f in [
-                Box::new(|| classic_distance(metric, &full_c, &empty_c)) as Box<dyn Fn() -> f64>,
-                Box::new(|| classic_distance(metric, &empty_c, &full_c)),
-                Box::new(|| stable_distance(metric, &full_s, &empty_s)),
+                Box::new(|| stable_distance(metric, &full_s, &empty_s)) as Box<dyn Fn() -> f64>,
                 Box::new(|| stable_distance(metric, &empty_s, &full_s)),
             ] {
                 assert!(
@@ -1522,8 +1091,6 @@ mod tests {
         }
         #[cfg(not(debug_assertions))]
         {
-            assert_eq!(classic_distance(metric, &full_c, &empty_c), f64::INFINITY);
-            assert_eq!(classic_distance(metric, &empty_c, &full_c), f64::INFINITY);
             assert_eq!(stable_distance(metric, &full_s, &empty_s), f64::INFINITY);
             assert_eq!(stable_distance(metric, &empty_s, &full_s), f64::INFINITY);
         }
@@ -1554,85 +1121,14 @@ mod tests {
         empty_operand_check(DistanceMetric::D4);
     }
 
-    /// Raw point clouds for cross-backend comparisons (well-conditioned:
-    /// near the origin, O(1) spreads).
-    fn parity_clouds() -> Vec<Vec<Point>> {
-        vec![
-            vec![Point::xy(0.0, 0.0), Point::xy(1.0, 1.0)],
-            vec![Point::xy(5.0, -3.0)],
-            vec![
-                Point::xy(2.5, 2.5),
-                Point::xy(2.5, 2.5),
-                Point::xy(3.0, 2.0),
-            ],
-            vec![Point::xy(-7.0, 4.0), Point::xy(-6.5, 4.5)],
-            vec![Point::xy(100.0, 100.0)],
-            vec![
-                Point::xy(0.1, 0.2),
-                Point::xy(0.3, 0.4),
-                Point::xy(0.5, 0.6),
-                Point::xy(0.7, 0.8),
-            ],
-        ]
-    }
-
-    #[test]
-    fn stable_kernel_parity_with_classic_on_well_conditioned_data() {
-        // Both kernel families are always compiled, so the parity claim —
-        // same distances (within round-off) and the same winner index on
-        // well-conditioned data — is checked regardless of which backend
-        // the pipeline alias selects.
-        let clouds = parity_clouds();
-        let classics: Vec<crate::cf::classic::Cf> = clouds
-            .iter()
-            .map(crate::cf::classic::Cf::from_points)
-            .collect();
-        let stables: Vec<crate::cf::stable::Cf> = clouds
-            .iter()
-            .map(crate::cf::stable::Cf::from_points)
-            .collect();
-        let probe_pts = vec![Point::xy(1.0, -1.0), Point::xy(2.0, 0.5)];
-        let probe_c = crate::cf::classic::Cf::from_points(&probe_pts);
-        let probe_s = crate::cf::stable::Cf::from_points(&probe_pts);
-        for m in DistanceMetric::ALL {
-            let mut win_c: Option<(usize, f64)> = None;
-            let mut win_s: Option<(usize, f64)> = None;
-            for i in 0..clouds.len() {
-                let dc = classic_distance(
-                    m,
-                    &ClassicView::of(&probe_c),
-                    &ClassicView::of(&classics[i]),
-                );
-                let ds =
-                    stable_distance(m, &StableView::of(&probe_s), &StableView::of(&stables[i]));
-                let scale = dc.abs().max(1.0);
-                assert!(
-                    (dc - ds).abs() < 1e-9 * scale,
-                    "{m} cloud {i}: classic {dc} vs stable {ds}"
-                );
-                if win_c.is_none_or(|(_, d)| dc < d) {
-                    win_c = Some((i, dc));
-                }
-                if win_s.is_none_or(|(_, d)| ds < d) {
-                    win_s = Some((i, ds));
-                }
-            }
-            assert_eq!(
-                win_c.map(|(i, _)| i),
-                win_s.map(|(i, _)| i),
-                "{m} winner index diverged between backends"
-            );
-        }
-    }
-
     #[test]
     fn stable_kernel_distances_survive_large_offset() {
         // Two tight dyadic-spread clusters 2⁻³ apart, at the origin and
         // translated by 1e8 (an exact translate: every coordinate is a
         // multiple of ulp(1e8) = 2⁻²⁶). The stable kernel must report the
-        // same D0–D4 at both offsets to ~1e-9 relative; the classic closed
+        // same D0–D4 at both offsets to ~1e-9 relative; the paper's closed
         // forms collapse entirely here (that failure is pinned by the
-        // translation-invariance suite and the stability bench).
+        // `cf::classic` reference tests and the stability bench).
         const S: f64 = 9.765_625e-4; // 2⁻¹⁰
         const GAP: f64 = 0.125; // 2⁻³
         let cloud = |base: f64| {

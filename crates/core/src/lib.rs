@@ -57,7 +57,6 @@ pub mod phase4;
 pub mod point;
 pub mod quad;
 pub mod rebuild;
-#[cfg(all(feature = "simd", not(feature = "classic-cf")))]
 mod simd;
 pub mod stream;
 pub mod threshold;

@@ -9,10 +9,9 @@
 //! `Rc<RefCell<…>>`, and page accounting is just arena occupancy.
 //!
 //! Each node additionally owns a [`CfBlock`]: a flat SoA mirror of its
-//! entries' vector statistics (`LS` classic, μ + carry stable) plus
-//! parallel `(N, scalar stat, ‖vec‖²)` arrays. The descent scan and the
-//! split pairwise matrix sweep the block instead of chasing one
-//! `Box<[f64]>` per entry; on the stable backend each row is zero-padded
+//! entries' means μ and their carries plus parallel `(N, SSE, ‖μ‖²)`
+//! arrays. The descent scan and the split pairwise matrix sweep the block
+//! instead of chasing one `Box<[f64]>` per entry; each row is zero-padded
 //! to a lane-width stride ([`CfBlock::stride`]) so the SIMD kernels
 //! stream it tail-free. Every mutation goes through the mutator methods
 //! below, which keep the mirror in sync; the auditor cross-checks

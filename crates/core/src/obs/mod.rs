@@ -519,10 +519,6 @@ pub struct MetricsReport {
     ///
     /// [`TreeStats`]: crate::tree::TreeStats
     pub distance_calls: u64,
-    /// Descent-scan candidates skipped by the D0 lower-bound prune
-    /// (always 0 with `descend_prune` off). Same provenance as
-    /// [`MetricsReport::distance_calls`].
-    pub distance_calls_pruned: u64,
     /// Phase 3 candidate-pair distances actually evaluated by the
     /// agglomerator (schema v5). Set via
     /// [`MetricsRecorder::note_phase3_pairs`], not from events.
@@ -565,7 +561,6 @@ impl MetricsReport {
         self.outliers_discarded += other.outliers_discarded;
         self.peak_pages = self.peak_pages.max(other.peak_pages);
         self.distance_calls += other.distance_calls;
-        self.distance_calls_pruned += other.distance_calls_pruned;
         self.phase3_pairs_evaluated += other.phase3_pairs_evaluated;
         self.phase3_pairs_pruned += other.phase3_pairs_pruned;
         self.trace_capacity = self.trace_capacity.max(other.trace_capacity);
@@ -595,7 +590,7 @@ impl MetricsReport {
             "{{\"inserts\":{},\"splits\":{},\"merge_refinements\":{},\"rebuilds\":{},\
              \"thresholds_raised\":{},\"outliers_spilled\":{},\"outliers_reabsorbed\":{},\
              \"outliers_reinserted\":{},\"outliers_folded_back\":{},\
-             \"outliers_discarded\":{},\"distance_calls\":{},\"distance_calls_pruned\":{},\
+             \"outliers_discarded\":{},\"distance_calls\":{},\
              \"phase3_pairs_evaluated\":{},\"phase3_pairs_pruned\":{},\
              \"events\":{}}}",
             self.inserts,
@@ -609,7 +604,6 @@ impl MetricsReport {
             self.outliers_folded_back,
             self.outliers_discarded,
             self.distance_calls,
-            self.distance_calls_pruned,
             self.phase3_pairs_evaluated,
             self.phase3_pairs_pruned,
             self.events

@@ -117,17 +117,12 @@ pub fn prometheus_exposition(stats: &RunStats) -> String {
         &mut out,
         "birch_distance_calls_total",
         "counter",
-        "Distance evaluations in the insert hot path (pruned = skipped by the D0 bound).",
+        "Distance evaluations in the insert hot path.",
     );
     let _ = writeln!(
         out,
         "birch_distance_calls_total{{kind=\"performed\"}} {}",
         m.distance_calls
-    );
-    let _ = writeln!(
-        out,
-        "birch_distance_calls_total{{kind=\"pruned\"}} {}",
-        m.distance_calls_pruned
     );
 
     header(

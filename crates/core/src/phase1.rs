@@ -91,8 +91,6 @@ pub struct Phase1Builder<S: EventSink = NoopSink> {
     /// live tree's [`TreeStats`](crate::tree::TreeStats) reset on every
     /// swap, so lifetime totals are `retired + tree.stats()`.
     retired_distance_calls: u64,
-    /// Pruned-candidate totals of replaced trees (same bookkeeping).
-    retired_distance_calls_pruned: u64,
     /// Always-on aggregator: `finish()` fills `io`'s event-derived
     /// counters from it, so the tree, the rebuild machinery, and the
     /// builder never keep parallel tallies of the same mutations.
@@ -215,7 +213,6 @@ fn builder<S: EventSink>(config: &BirchConfig, dim: usize, sink: S) -> Phase1Bui
         threshold_kind: config.threshold_kind,
         metric: config.metric,
         merge_refinement: config.merge_refinement,
-        descend_prune: config.descend_prune,
     };
 
     let mut b = Phase1Builder {
@@ -233,7 +230,6 @@ fn builder<S: EventSink>(config: &BirchConfig, dim: usize, sink: S) -> Phase1Bui
         fed_n: 0.0,
         scratch: None,
         retired_distance_calls: 0,
-        retired_distance_calls_pruned: 0,
         recorder: MetricsRecorder::new(),
         sink,
         started: Instant::now(),
@@ -563,12 +559,10 @@ impl<S: EventSink> Phase1Builder<S> {
         }
     }
 
-    /// Banks the live tree's distance-call counters before it is replaced
-    /// by a rebuild, so lifetime totals survive the swap.
+    /// Banks the live tree's distance-call counter before it is replaced
+    /// by a rebuild, so the lifetime total survives the swap.
     fn retire_tree_counters(&mut self) {
-        let s = self.tree.stats();
-        self.retired_distance_calls += s.distance_calls;
-        self.retired_distance_calls_pruned += s.distance_calls_pruned;
+        self.retired_distance_calls += self.tree.stats().distance_calls;
     }
 
     /// Rebuilds (possibly repeatedly) until the tree fits in memory, then
@@ -835,12 +829,7 @@ impl<S: EventSink> Phase1Builder<S> {
         }
 
         let mut metrics = self.recorder.report();
-        {
-            let s = self.tree.stats();
-            metrics.distance_calls = self.retired_distance_calls + s.distance_calls;
-            metrics.distance_calls_pruned =
-                self.retired_distance_calls_pruned + s.distance_calls_pruned;
-        }
+        metrics.distance_calls = self.retired_distance_calls + self.tree.stats().distance_calls;
         let out = Phase1Output {
             tree: self.tree,
             io: self.io,

@@ -1,7 +1,9 @@
 //! Explicit-width lane kernels for the batched [`CfBlock`] distance
-//! scans — the stable backend's deviation-form metrics streamed through
-//! `f64x4` lanes, and the nearest-row scans specialized per dimension
-//! and metric.
+//! scans — the deviation-form metrics streamed through `f64x4` lanes,
+//! and the nearest-row scans specialized per dimension and metric. These
+//! are the production kernels: [`crate::distance`] re-exports
+//! `pair_in_block`, `closest_among`, `closest_pair` and `farthest_pair`
+//! from here.
 //!
 //! The scalar kernels in [`crate::distance`] evaluate the §3 metrics one
 //! coordinate at a time in serial order. That order is a feature (it is
@@ -41,8 +43,8 @@
 //!   dim-2 historical pin keeps holding through the lane path.
 //!
 //! * **Per-(dim, metric) row scans** — the nearest-row scans
-//!   (`closest_among`, its D0-pruned form, `closest_pair`,
-//!   `farthest_pair`) are the §6.1 cost model's inner loop. One row loop
+//!   (`closest_among`, `closest_pair`, `farthest_pair`) are the §6.1
+//!   cost model's inner loop. One row loop
 //!   (`scan_rows`) serves all of them, monomorphized once per scan by
 //!   `specialize` over the metric and the sweep: dims 1–4 hold the
 //!   probe's μ and carry in `[f64; D]` registers (`Fixed`), larger dims
@@ -67,12 +69,8 @@
 //!   the sums (four partial sums + one horizontal fold), so results may
 //!   differ from the scalar oracle in the last ulps. The bound is
 //!   [`crate::distance::SIMD_TOLERANCE_REL`]; the differential tests
-//!   below and the tree auditor ([`crate::audit`]) both enforce it.
-//!
-//! The module is compiled only on stable+`simd` builds (`classic-cf`
-//! keeps scalar kernels: its closed forms need `LS·LS` cross terms and
-//! its guarantee is bit-exact seed-era arithmetic, which lane math would
-//! void). The production entry points in `distance.rs` route here.
+//!   below and the tree auditor ([`crate::audit`]) both enforce it
+//!   against the serial-order oracles in [`crate::distance`].
 
 use crate::cf::Cf;
 use crate::distance::{CfBlock, DistanceMetric, LANE_WIDTH};
@@ -326,7 +324,7 @@ fn key_of<K: Metric>(a: &Stats, n: f64, sse: f64, dev: f64) -> f64 {
     K::key(a, n, sse, dev)
 }
 
-/// A borrowed stable-backend operand for the lane kernels: the scalar
+/// A borrowed CF operand for the lane kernels: the scalar
 /// stats plus the (possibly stride-padded) mean and carry slices.
 #[derive(Clone, Copy)]
 struct Operand<'a> {
@@ -407,10 +405,17 @@ pub(crate) fn distance_to_row(metric: DistanceMetric, ent: &Cf, block: &CfBlock,
     )
 }
 
-/// Lane form of [`crate::distance::pair_in_block`]: both rows as padded
-/// stride slices, so the sweep is tail-free.
+/// Distance between block rows `i` and `j`, both swept as padded stride
+/// slices so the sweep is tail-free. Within
+/// [`crate::distance::SIMD_TOLERANCE_REL`] of the scalar oracle
+/// [`crate::distance::pair_in_block_scalar`], bit-identical at dim ≤ 4.
+///
+/// # Panics
+///
+/// Panics if either index is out of range.
+#[must_use]
 #[inline]
-pub(crate) fn pair_in_block(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
+pub fn pair_in_block(metric: DistanceMetric, block: &CfBlock, i: usize, j: usize) -> f64 {
     let rows = Rows::of(block);
     lane_distance(metric, block.dim(), rows.row(i), rows.row(j))
 }
@@ -542,8 +547,6 @@ impl<T, const MAX: bool> Winner<T, MAX> {
 
 /// The one row loop behind every nearest-row scan: offers rows `from..`
 /// of `rows` to `winner`, keyed against the probe `(a, sweep)`.
-/// `keep(j, best_d)` may veto row `j` before its sweep (the D0 prune);
-/// the other scans pass `|_, _| true`.
 #[inline(always)]
 fn scan_rows<'a, K: Metric, S: Sweep<'a>, T, const MAX: bool>(
     rows: &Rows<'_>,
@@ -551,7 +554,6 @@ fn scan_rows<'a, K: Metric, S: Sweep<'a>, T, const MAX: bool>(
     probe: (&Stats, &S),
     winner: &mut Winner<T, MAX>,
     at: impl Fn(usize) -> T,
-    keep: &mut impl FnMut(usize, f64) -> bool,
 ) {
     let (a, sweep) = probe;
     let s = S::stride(rows.stride);
@@ -560,9 +562,6 @@ fn scan_rows<'a, K: Metric, S: Sweep<'a>, T, const MAX: bool>(
         .zip(rows.vec_c[from * s..].chunks_exact(s));
     let stats = rows.n[from..].iter().zip(&rows.sse[from..]);
     for (j, ((rv, rc), (&n, &sse))) in (from..).zip(vecs.zip(stats)) {
-        if !keep(j, winner.d) {
-            continue;
-        }
         let key = key_of::<K>(a, n, sse, sweep.dev(K::ABS, rv, rc));
         winner.offer::<K>(at(j), key);
     }
@@ -598,22 +597,21 @@ fn specialize<'a, B: Body<'a>>(metric: DistanceMetric, dim: usize, body: B) -> B
     }
 }
 
-/// The probe-vs-rows scan of [`closest_among_where`].
-struct Among<'a, F> {
+/// The probe-vs-rows scan of [`closest_among`].
+struct Among<'a> {
     probe: &'a Cf,
     rows: Rows<'a>,
-    keep: F,
 }
 
-impl<'a, F: FnMut(usize, f64) -> bool> Body<'a> for Among<'a, F> {
+impl<'a> Body<'a> for Among<'a> {
     type Out = Option<(usize, f64)>;
 
     #[inline(always)]
-    fn run<K: Metric, S: Sweep<'a>>(mut self) -> Self::Out {
+    fn run<K: Metric, S: Sweep<'a>>(self) -> Self::Out {
         let a = Stats::new(self.probe.n(), self.probe.scalar_stat());
         let sweep = S::load(self.probe.mean(), self.probe.mean_carry());
         let mut w = Winner::<usize, false>::new(false);
-        scan_rows::<K, S, _, false>(&self.rows, 0, (&a, &sweep), &mut w, |j| j, &mut self.keep);
+        scan_rows::<K, S, _, false>(&self.rows, 0, (&a, &sweep), &mut w, |j| j);
         w.at.map(|i| (i, w.d))
     }
 }
@@ -664,7 +662,7 @@ impl<'a, const MAX: bool> Body<'a> for Pairs<'a, MAX> {
             let a = Stats::new(r.n[i], r.sse[i]);
             let sweep = S::load(&r.vec[i * s..(i + 1) * s], &r.vec_c[i * s..(i + 1) * s]);
             let at = |j| (i, j);
-            scan_rows::<K, S, _, MAX>(&r, i + 1, (&a, &sweep), &mut w, at, &mut |_, _| true);
+            scan_rows::<K, S, _, MAX>(&r, i + 1, (&a, &sweep), &mut w, at);
         }
         if MAX {
             let (i, j) = w.at.unwrap_or((0, 1));
@@ -675,37 +673,31 @@ impl<'a, const MAX: bool> Body<'a> for Pairs<'a, MAX> {
     }
 }
 
-/// Lane form of the first-minimum closest-row scan, with a per-row veto:
-/// `keep(i, best_d)` is asked before row `i` is evaluated, with the best
-/// distance so far. Identical tie-break (strict `<`, earliest row wins)
-/// and bit-identical distances (dim ≤ 4) to the scalar form.
+/// First-minimum closest row to `ent`: the batched form of the descent
+/// scan (`best` starts at `+∞`, strictly-smaller wins, so the earliest of
+/// tied rows is kept — the same tie-break as `CfTree::descend` and
+/// `CfTree::closest_leaf_entry`). Returns `None` on an empty block.
+/// Same winner and tie-break as
+/// [`crate::distance::closest_among_scalar`], with bit-identical
+/// distances at dim ≤ 4.
+#[must_use]
 #[inline]
-pub(crate) fn closest_among_where(
-    metric: DistanceMetric,
-    ent: &Cf,
-    block: &CfBlock,
-    keep: impl FnMut(usize, f64) -> bool,
-) -> Option<(usize, f64)> {
+pub fn closest_among(metric: DistanceMetric, ent: &Cf, block: &CfBlock) -> Option<(usize, f64)> {
     let _sp = crate::obs::span::enter("simd_kernel");
     if block.is_empty() {
         return None;
     }
     debug_assert_eq!(ent.dim(), block.dim(), "dimension mismatch");
     let rows = Rows::of(block);
-    specialize(
-        metric,
-        block.dim(),
-        Among {
-            probe: ent,
-            rows,
-            keep,
-        },
-    )
+    specialize(metric, block.dim(), Among { probe: ent, rows })
 }
 
-/// Lane form of the first-minimum closest-pair scan.
+/// First-minimum closest pair among the block's rows (`i < j`, earliest
+/// pair wins ties) — the batched form of the §4.3 merging-refinement scan.
+/// Returns `None` when the block has fewer than two rows.
+#[must_use]
 #[inline]
-pub(crate) fn closest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
+pub fn closest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
     let _sp = crate::obs::span::enter("simd_kernel");
     if block.len() < 2 {
         return None;
@@ -719,12 +711,13 @@ pub(crate) fn closest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(u
     )
 }
 
-/// Lane form of the first-maximum farthest-pair scan.
+/// First-maximum farthest pair among the block's rows (`i < j`, earliest
+/// pair wins ties) — the batched form of the split seeding scan (§4.2:
+/// "the farthest pair of entries"). Returns `None` when the block has
+/// fewer than two rows.
+#[must_use]
 #[inline]
-pub(crate) fn farthest_pair(
-    metric: DistanceMetric,
-    block: &CfBlock,
-) -> Option<(usize, usize, f64)> {
+pub fn farthest_pair(metric: DistanceMetric, block: &CfBlock) -> Option<(usize, usize, f64)> {
     if block.len() < 2 {
         return None;
     }
@@ -746,10 +739,6 @@ mod tests {
         farthest_pair_scalar, pair_in_block_scalar, SIMD_TOLERANCE_REL,
     };
     use crate::point::Point;
-
-    fn closest_among(m: DistanceMetric, probe: &Cf, block: &CfBlock) -> Option<(usize, f64)> {
-        closest_among_where(m, probe, block, |_, _| true)
-    }
 
     /// Deterministic xorshift point clouds at any dimension.
     fn fixture(dim: usize, rows: usize) -> Vec<Cf> {
@@ -955,10 +944,6 @@ mod tests {
                 want,
                 "{m} {ctx} closest_among probe {p}"
             );
-            if m == DistanceMetric::D0 {
-                let (best, _, _) = crate::distance::closest_among_pruned(m, probe, block);
-                assert_eq!(among_bits(best), want, "{m} {ctx} pruned probe {p}");
-            }
         }
         assert_eq!(
             pair_bits(closest_pair(m, block)),

@@ -27,8 +27,8 @@
 
 use crate::cf::Cf;
 use crate::distance::{
-    closest_among, closest_among_pruned, closest_pair, farthest_pair, pair_in_block, CfBlock,
-    DistanceMetric, ThresholdKind,
+    closest_among, closest_pair, farthest_pair, pair_in_block, CfBlock, DistanceMetric,
+    ThresholdKind,
 };
 use crate::node::{ChildEntry, Node, NodeId, NodeKind};
 use crate::obs::{Event, EventSink, NoopSink};
@@ -57,13 +57,6 @@ pub struct TreeParams {
     pub metric: DistanceMetric,
     /// Whether to run the §4.3 merging refinement after splits.
     pub merge_refinement: bool,
-    /// Whether the descent's closest-child/closest-entry scans may skip
-    /// candidates using the D0 triangle-inequality lower bound (see
-    /// [`crate::distance::closest_among_pruned`]). Off by default; only
-    /// effective under [`DistanceMetric::D0`], and provably never changes
-    /// which candidate is selected — only how many distances are evaluated
-    /// (observable via [`TreeStats::distance_calls_pruned`]).
-    pub descend_prune: bool,
 }
 
 impl TreeParams {
@@ -79,7 +72,6 @@ impl TreeParams {
             threshold_kind: ThresholdKind::default(),
             metric: DistanceMetric::default(),
             merge_refinement: true,
-            descend_prune: false,
         }
     }
 
@@ -116,12 +108,8 @@ pub struct TreeStats {
     /// closest-child scans of the descent plus the closest-leaf-entry scan
     /// (the §6.1 CPU cost model's inner loop). Distances computed during
     /// splits, refinement, or Dmin probes are not counted: this counter
-    /// exists to measure the descent workload the lower-bound prune acts
-    /// on.
+    /// measures the descent workload alone.
     pub distance_calls: u64,
-    /// Descent-scan candidates skipped by the D0 triangle-inequality lower
-    /// bound ([`TreeParams::descend_prune`]). Always 0 with pruning off.
-    pub distance_calls_pruned: u64,
 }
 
 /// Heap occupancy of one tree, split the way the memory gauge reports it
@@ -734,55 +722,36 @@ impl CfTree {
 
     /// Root-to-leaf descent following the closest child at each level,
     /// scanning each node's contiguous [`CfBlock`] with the batched
-    /// [`closest_among`] kernel (or its D0 lower-bound-pruned variant when
-    /// [`TreeParams::descend_prune`] is on). Returns the leaf id and the
-    /// interior path as `(node, child_index)` pairs from the root downward.
-    /// Takes `&mut self` only to accumulate the distance-call counters.
+    /// [`closest_among`] kernel. Returns the leaf id and the interior path
+    /// as `(node, child_index)` pairs from the root downward. Takes
+    /// `&mut self` only to accumulate the distance-call counter.
     fn descend(&mut self, ent: &Cf) -> (NodeId, Vec<(NodeId, usize)>) {
         let _sp = crate::obs::span::enter("descend");
         let metric = self.params.metric;
-        let prune = self.params.descend_prune;
         let mut path = Vec::with_capacity(self.height.saturating_sub(1));
         let mut cur = self.root;
         let mut calls = 0u64;
-        let mut skipped = 0u64;
         self.fault_in(cur);
         while !self.node(cur).is_leaf() {
             let node = self.node(cur);
             debug_assert!(node.entry_count() > 0, "interior node with no children");
-            let best = if prune {
-                let (best, evaluated, pruned) = closest_among_pruned(metric, ent, node.block());
-                calls += evaluated;
-                skipped += pruned;
-                best
-            } else {
-                calls += node.entry_count() as u64;
-                closest_among(metric, ent, node.block())
-            };
-            let best = best.map_or(0, |(i, _)| i);
+            calls += node.entry_count() as u64;
+            let best = closest_among(metric, ent, node.block()).map_or(0, |(i, _)| i);
             path.push((cur, best));
             cur = node.children()[best].child;
             self.fault_in(cur);
         }
         self.stats.distance_calls += calls;
-        self.stats.distance_calls_pruned += skipped;
         (cur, path)
     }
 
     /// Index of the leaf entry closest to `ent`, or `None` if the leaf is
     /// empty. Same kernelized scan as [`CfTree::descend`]; takes `&mut self`
-    /// only to accumulate the distance-call counters.
+    /// only to accumulate the distance-call counter.
     fn closest_leaf_entry(&mut self, leaf_id: NodeId, ent: &Cf) -> Option<usize> {
-        let metric = self.params.metric;
         let node = self.node(leaf_id);
-        let (best, evaluated, pruned) = if self.params.descend_prune {
-            closest_among_pruned(metric, ent, node.block())
-        } else {
-            let best = closest_among(metric, ent, node.block());
-            (best, node.entry_count() as u64, 0)
-        };
-        self.stats.distance_calls += evaluated;
-        self.stats.distance_calls_pruned += pruned;
+        let best = closest_among(self.params.metric, ent, node.block());
+        self.stats.distance_calls += node.entry_count() as u64;
         best.map(|(i, _)| i)
     }
 
@@ -1318,13 +1287,6 @@ impl CfTree {
         }
     }
 
-    /// 0 = stable CF backend, 1 = classic. A snapshot records which
-    /// backend wrote it because their word layouts differ and cross-uses
-    /// would reinterpret statistics.
-    fn backend_tag() -> u32 {
-        u32::from(cfg!(feature = "classic-cf"))
-    }
-
     /// Writes a versioned, per-section-checksummed snapshot of the whole
     /// tree to `path` (atomically: temp sibling + fsync + rename). Spilled
     /// nodes are faulted in first, so the snapshot is always complete.
@@ -1358,10 +1320,18 @@ impl CfTree {
         Ok(())
     }
 
+    /// META layout: the CF-backend tag (u32, always [`BACKEND_TAG`]), dim,
+    /// B and L (u32 each); threshold kind, metric, merge refinement and a
+    /// retired descent-prune flag (one byte each, the last always 0);
+    /// threshold (f64); root, first leaf, height and arena length (u32
+    /// each); leaf-entry count and max input statistic (8 bytes each);
+    /// splits, merge refinements, distance calls and a retired
+    /// pruned-call counter (u64 each, the last always 0); the free list
+    /// (u32 length, then ids); the total CF (u32 word count, then words).
     fn encode_meta(&self) -> Vec<u8> {
         let mut m = Vec::with_capacity(128 + 8 * Cf::words_per_entry(self.params.dim));
         let p = &self.params;
-        m.extend_from_slice(&Self::backend_tag().to_le_bytes());
+        m.extend_from_slice(&BACKEND_TAG.to_le_bytes());
         m.extend_from_slice(&u32::try_from(p.dim).expect("dim range").to_le_bytes());
         m.extend_from_slice(&u32::try_from(p.branching).expect("B range").to_le_bytes());
         m.extend_from_slice(
@@ -1372,7 +1342,7 @@ impl CfTree {
         m.push(threshold_kind_to_byte(p.threshold_kind));
         m.push(metric_to_byte(p.metric));
         m.push(u8::from(p.merge_refinement));
-        m.push(u8::from(p.descend_prune));
+        m.push(0);
         m.extend_from_slice(&p.threshold.to_bits().to_le_bytes());
         m.extend_from_slice(&self.root.0.to_le_bytes());
         m.extend_from_slice(&self.first_leaf.0.to_le_bytes());
@@ -1391,7 +1361,7 @@ impl CfTree {
         m.extend_from_slice(&self.stats.splits.to_le_bytes());
         m.extend_from_slice(&self.stats.merge_refinements.to_le_bytes());
         m.extend_from_slice(&self.stats.distance_calls.to_le_bytes());
-        m.extend_from_slice(&self.stats.distance_calls_pruned.to_le_bytes());
+        m.extend_from_slice(&0u64.to_le_bytes());
         m.extend_from_slice(
             &u32::try_from(self.free.len())
                 .expect("free list range")
@@ -1430,10 +1400,9 @@ impl CfTree {
         let mut c = MetaCursor { buf: meta, at: 0 };
 
         let backend = c.u32()?;
-        if backend != Self::backend_tag() {
+        if backend != BACKEND_TAG {
             return Err(malformed(format!(
-                "snapshot written by CF backend {backend}, this build is {}",
-                Self::backend_tag()
+                "snapshot written by CF backend {backend}, this build is {BACKEND_TAG}"
             )));
         }
         let dim = c.u32()? as usize;
@@ -1444,7 +1413,7 @@ impl CfTree {
         let metric = metric_from_byte(c.u8()?)
             .ok_or_else(|| malformed("unknown distance metric byte".into()))?;
         let merge_refinement = c.u8()? != 0;
-        let descend_prune = c.u8()? != 0;
+        c.u8()?; // retired descent-prune flag: ignored
         let threshold = f64::from_bits(c.u64()?);
         if dim == 0 || branching < 2 || leaf_capacity < 2 || !threshold.is_finite() {
             return Err(malformed("inconsistent tree parameters".into()));
@@ -1457,7 +1426,6 @@ impl CfTree {
             threshold_kind,
             metric,
             merge_refinement,
-            descend_prune,
         };
         let root = NodeId(c.u32()?);
         let first_leaf = NodeId(c.u32()?);
@@ -1470,8 +1438,8 @@ impl CfTree {
             splits: c.u64()?,
             merge_refinements: c.u64()?,
             distance_calls: c.u64()?,
-            distance_calls_pruned: c.u64()?,
         };
+        c.u64()?; // retired pruned-call counter: ignored
         let free_len = c.u32()? as usize;
         let mut free = Vec::with_capacity(free_len);
         let mut free_set = HashSet::with_capacity(free_len);
@@ -1556,6 +1524,13 @@ impl CfTree {
         })
     }
 }
+
+/// The CF-backend tag a snapshot's META section opens with. Only the
+/// stable `(N, μ, SSE)` layout (tag 0) exists; a snapshot with any other
+/// tag (older builds wrote 1 for the retired classic `(N, LS, SS)`
+/// layout) is rejected, because reading its words as stable statistics
+/// would reinterpret them.
+const BACKEND_TAG: u32 = 0;
 
 /// Bounds-checked little-endian reader over the snapshot META payload:
 /// every short read is a typed [`SnapshotError::Malformed`], never a
@@ -1782,7 +1757,6 @@ mod tests {
             threshold_kind: ThresholdKind::Diameter,
             metric: DistanceMetric::D2,
             merge_refinement: true,
-            descend_prune: false,
         }
     }
 
@@ -2028,56 +2002,6 @@ mod tests {
         t
     }
 
-    // Runs on both backends: the classic bound is exact, the stable one
-    // is widened by `D0_PRUNE_SLACK_REL` — either way selection is
-    // provably unchanged, so the trees must be identical and the
-    // evaluated/pruned counters must reconcile exactly.
-    #[test]
-    fn d0_prune_builds_identical_tree_and_counts_pruned() {
-        let mk = |prune: bool| {
-            walk_tree(TreeParams {
-                metric: DistanceMetric::D0,
-                descend_prune: prune,
-                ..small_params(0.5)
-            })
-        };
-        let base = mk(false);
-        let pruned = mk(true);
-        // Selection is provably unchanged, so the trees must be identical.
-        let a: Vec<Cf> = base.leaf_entries().cloned().collect();
-        let b: Vec<Cf> = pruned.leaf_entries().cloned().collect();
-        assert_eq!(a, b, "pruned descent must build an identical tree");
-        assert_eq!(base.stats().splits, pruned.stats().splits);
-        assert_eq!(
-            base.stats().merge_refinements,
-            pruned.stats().merge_refinements
-        );
-        // The prune must actually fire, and every candidate is either
-        // evaluated or pruned — the totals reconcile exactly.
-        assert_eq!(base.stats().distance_calls_pruned, 0);
-        assert!(
-            pruned.stats().distance_calls_pruned > 0,
-            "prune never fired"
-        );
-        assert_eq!(
-            pruned.stats().distance_calls + pruned.stats().distance_calls_pruned,
-            base.stats().distance_calls,
-        );
-        base.check_invariants().unwrap();
-        pruned.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn prune_flag_is_inert_under_non_d0_metrics() {
-        let t = walk_tree(TreeParams {
-            descend_prune: true,
-            ..small_params(0.5)
-        });
-        let u = walk_tree(small_params(0.5));
-        assert_eq!(t.stats(), u.stats(), "prune flag must be a no-op under D2");
-        assert_eq!(t.stats().distance_calls_pruned, 0);
-    }
-
     #[test]
     fn distance_call_counter_is_pinned_on_fixed_workload() {
         // Regression pin: the descent + closest-leaf-entry scans of the
@@ -2086,13 +2010,11 @@ mod tests {
         // evaluations — intentional changes must update the pin.
         let t = walk_tree(small_params(0.5));
         assert_eq!(t.stats().distance_calls, DISTANCE_CALLS_PIN);
-        assert_eq!(t.stats().distance_calls_pruned, 0);
     }
 
     /// See `distance_call_counter_is_pinned_on_fixed_workload`.
     const DISTANCE_CALLS_PIN: u64 = 7419;
 
-    #[cfg(all(feature = "simd", not(feature = "classic-cf")))]
     #[test]
     fn simd_kernel_span_nests_under_descend_and_split() {
         // The lane scans open a "simd_kernel" span, so a profiled run

@@ -16,7 +16,7 @@
 //! Phase-3 global clustering built from them, must still match exactly.
 
 use birch_core::config::ClusterCount;
-use birch_core::distance::{closest_among, closest_among_pruned, CfBlock};
+use birch_core::distance::{closest_among, CfBlock};
 use birch_core::phase3::global_cluster;
 use birch_core::tree::{CfTree, InsertOutcome, TreeParams};
 use birch_core::{Cf, DistanceMetric, Point, ThresholdKind};
@@ -95,7 +95,6 @@ fn params(threshold: f64, branching: usize, leaf_capacity: usize) -> TreeParams 
         threshold_kind: ThresholdKind::Diameter,
         metric: DistanceMetric::D2,
         merge_refinement: true,
-        descend_prune: false,
     }
 }
 
@@ -222,9 +221,7 @@ fn kernel_descent_choice_matches_scalar_reference_on_all_metrics() {
     // The batched closest-child kernel must pick the *identical* index as
     // a naive first-minimum scan over `DistanceMetric::distance` — same
     // winner, same distance bits, and the same tie resolution (a
-    // duplicated candidate forces an exact tie every trial). The pruned
-    // variant must agree too, with its evaluated/pruned counters summing
-    // to the scan length.
+    // duplicated candidate forces an exact tie every trial).
     let mut rng = Rng(0x5EED5);
     for &metric in &DistanceMetric::ALL {
         for trial in 0..50 {
@@ -259,16 +256,6 @@ fn kernel_descent_choice_matches_scalar_reference_on_all_metrics() {
                 kd.to_bits(),
                 rd.to_bits(),
                 "distance bits diverged under {metric:?} (trial {trial}): {kd} vs {rd}"
-            );
-
-            let (pruned_best, evaluated, pruned) = closest_among_pruned(metric, &probe, &block);
-            let (pi, pd) = pruned_best.expect("non-empty block");
-            assert_eq!(pi, ri, "pruned winner diverged under {metric:?}");
-            assert_eq!(pd.to_bits(), rd.to_bits(), "pruned distance bits diverged");
-            assert_eq!(
-                evaluated + pruned,
-                cands.len() as u64,
-                "counter identity broken under {metric:?}"
             );
         }
     }

@@ -59,7 +59,6 @@ fn small_params(threshold: f64, metric: DistanceMetric) -> TreeParams {
         threshold_kind: ThresholdKind::Diameter,
         metric,
         merge_refinement: true,
-        descend_prune: false,
     }
 }
 

@@ -159,3 +159,52 @@ fn reopen_rejects_bit_flips_everywhere() {
     assert!(rejected > 0);
     std::fs::remove_file(&snap).ok();
 }
+
+/// Snapshots from builds that still had the D0 descent prune carry its
+/// flag byte and pruned-call counter in META. Both are now ignored on
+/// read: a checkpoint with them set must reopen to the same leaf CF words
+/// and resume to the same model.
+#[test]
+fn snapshot_with_retired_prune_fields_reopens_and_resumes() {
+    use birch_pager::{SnapshotReader, SnapshotWriter};
+
+    let pts = noisy_blobs(3000);
+    let snap = std::env::temp_dir().join(format!(
+        "birch-recovery-prune-byte-{}.snap",
+        std::process::id()
+    ));
+    let cfg = BirchConfig::with_clusters(4)
+        .memory(8 * 1024)
+        .page_size(1024)
+        .threads(1);
+    let full = Birch::new(cfg.clone())
+        .fit_with_checkpoint(&pts, &snap)
+        .expect("fit with checkpoint");
+    let want = leaf_words(&CfTree::reopen(&snap).expect("reopen as written"));
+
+    // A payload edit means re-checksumming, so rebuild the snapshot
+    // through the writer. META offsets: the prune flag is byte 19 (after
+    // four u32 and three u8 fields), the pruned-call counter bytes 84..92
+    // (after the distance-call counter).
+    let reader = SnapshotReader::open(&snap).expect("open snapshot");
+    let mut meta = reader.require(*b"META").expect("META section").to_vec();
+    assert_eq!(meta[19], 0, "prune flag is written as 0");
+    assert_eq!(meta[84..92], [0; 8], "pruned-call counter is written as 0");
+    meta[19] = 1;
+    meta[84..92].copy_from_slice(&12_345u64.to_le_bytes());
+    let mut w = SnapshotWriter::new();
+    w.add_section(*b"META", meta);
+    for node in reader.sections(*b"NODE") {
+        w.add_section(*b"NODE", node.to_vec());
+    }
+    w.finish(&snap).expect("rewrite snapshot");
+
+    let reopened = CfTree::reopen(&snap).expect("reopen with prune fields set");
+    reopened.audit().expect("reopened tree audit");
+    assert_eq!(leaf_words(&reopened), want, "leaf CF words changed");
+    let resumed = Birch::new(cfg)
+        .fit_from_snapshot(&snap, &pts)
+        .expect("fit from snapshot");
+    std::fs::remove_file(&snap).ok();
+    assert_eq!(full.labels(), resumed.labels(), "labels diverged");
+}

@@ -73,8 +73,8 @@ impl PageLayout {
 
     /// Physical bytes of one encoded page slot able to hold either node
     /// flavour, given how many 8-byte words one CF entry serializes to
-    /// (backend-dependent: the stable mean/SSE form is wider than the
-    /// classic `(N, LS, SS)` triple this cost model counts).
+    /// (the stored mean/SSE form, `2d + 3` words, is wider than the
+    /// paper's `(N, LS, SS)` triple this cost model counts).
     ///
     /// The slot is the page header plus the larger of a full leaf
     /// (`L` CF rows) and a full interior node (`B` rows of CF + child).

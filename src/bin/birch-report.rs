@@ -211,10 +211,7 @@ fn main() -> ExitCode {
         m.merge_refinements,
         m.rebuilds
     );
-    println!(
-        "distance calls: {} performed, {} pruned; io: {}",
-        m.distance_calls, m.distance_calls_pruned, stats.io
-    );
+    println!("distance calls: {}; io: {}", m.distance_calls, stats.io);
 
     // ---- Optional artifacts. ----
     if let Some(path) = flags.get("folded") {
